@@ -340,14 +340,27 @@ def cmd_scan(args) -> int:
     return 0
 
 
+def _env_seed() -> int:
+    """Seed fallback from SYMMIX_SEED: unset or empty means 0, else a nonnegative integer."""
+    text = os.environ.get("SYMMIX_SEED")
+    if not text:
+        return 0
+    try:
+        seed = int(text)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise CliInputError(f"SYMMIX_SEED must be a nonnegative integer, got {text!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symmix",
         description="Two-component symmetric-location mixture estimation "
                     "via Fourier-domain contrast minimization")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    env_seed = os.environ.get("SYMMIX_SEED")
-    default_seed = int(env_seed) if env_seed and env_seed.isdigit() else 0
+    default_seed = _env_seed()
 
     def common(p, with_input=True):
         if with_input:
@@ -392,9 +405,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (CliInputError, SampleTooSmall, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

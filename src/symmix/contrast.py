@@ -25,8 +25,9 @@ Two empirical criteria are built from it on a weight rule W truncated to
 
 Both factorize over observations: with v_k = Im psi_k,
 sum_{j != k} v_j v_k = (sum_k v_k)^2 - sum_k v_k^2, so one evaluation costs
-O(Q) after an O(nQ) per-sample precompute (Q = active node count).  All
-arithmetic is real; reality of the statistics is structural, not numerical.
+O(Q) after an O(nQ) per-sample precompute (Q = active nodes, with +-u
+folded onto |u|; see ContrastEvaluator).  All arithmetic is real; reality
+of the statistics is structural, not numerical.
 """
 
 from __future__ import annotations
@@ -133,6 +134,13 @@ class ContrastEvaluator:
     the estimator to fold characteristic-function smoothing into the
     objective).  Keeps the per-observation Re/Im matrices for covariance
     plug-ins.
+
+    The active nodes are folded onto |u|: M(-u) = conj M(u) makes
+    v_k(-u) = -v_k(u) and its gradient odd too, so every integrand here is
+    even and the weights of u and -u can be summed onto one node.  The fold
+    is exact for any rule, symmetric or not; `u` and `w` hold the folded
+    nodes (sorted, nonnegative) and weights, half the rule's for a mirrored
+    rule.
     """
 
     def __init__(self, sample: Sample, cfg: ContrastConfig, weight_factor=None):
@@ -140,11 +148,11 @@ class ContrastEvaluator:
             raise SampleTooSmall("contrast needs at least two observations")
         rule = cfg.weight_rule
         mask = np.abs(rule.nodes) <= (1.0 / cfg.trunc_h) * (1.0 + 1e-12)
-        self.u = rule.nodes[mask]
         w = rule.weights[mask]
         if weight_factor is not None:
             w = w * np.asarray(weight_factor, dtype=float)[mask]
-        self.w = w
+        self.u, inv = np.unique(np.abs(rule.nodes[mask]), return_inverse=True)
+        self.w = np.bincount(inv, weights=w)
         self.n = sample.n
         ph = np.exp(1j * np.outer(self.u, sample.values))
         self._re = np.ascontiguousarray(ph.real)
@@ -177,12 +185,6 @@ class ContrastEvaluator:
         s1, _ = self._s1_s2(self._inv_m(theta))
         s1 = s1 / self.n
         return float(np.dot(self.w, s1 * s1))
-
-    def diagonal(self, theta: EuclideanParam) -> float:
-        """Diagonal term sum_q w_q sum_k v_k^2 / (n(n-1)); the noise scale of S_n."""
-        _, s2 = self._s1_s2(self._inv_m(theta))
-        n = self.n
-        return float(np.dot(self.w, s2) / (n * (n - 1)))
 
     def _grad_pieces(self, theta: EuclideanParam):
         u = self.u

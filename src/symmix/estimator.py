@@ -9,11 +9,12 @@ wells near p = 1/2 (depth growing like (1-2p)^{-2}) instead of the
 statistically meaningful minimum.  The plug-in criterion has the same
 population limit and no such wells.
 
-Optimization is multi-start Nelder-Mead over a smooth reparameterization
-(logit for p onto the box, identity for the locations), each start polished
-by L-BFGS-B with the analytic gradient.  Candidates that collapse onto the
-box edge in p or merge the two locations are set aside as degenerate; the
-smallest objective among the remaining candidates wins.
+Optimization is one bounded L-BFGS-B descent per start on (p, alpha, beta)
+directly, with p held in the box and the analytic gradient of the plug-in
+contrast.  Candidates that collapse onto the box edge in p or merge the two
+locations are set aside as degenerate; the smallest objective among the
+remaining candidates wins.  Leave-one-out refits run the same descent from
+the full-sample estimate.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import expit, logit
 
 from .contrast import ContrastConfig, ContrastEvaluator, default_trunc_h
 from .errors import DegenerateFit, SampleTooSmall, SingularInformation
@@ -49,14 +49,11 @@ SMOOTH_C = 1.0
 class FitConfig:
     starts: int = 8
     max_iter: int = 500
-    tol: float = 1e-10
     box: ParamBox = field(default_factory=ParamBox)
 
     def __post_init__(self):
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -136,24 +133,28 @@ def initial_points(sample: Sample, cfg: FitConfig) -> list[EuclideanParam]:
     return pts[: cfg.starts]
 
 
-def _p_from_t(t: float, box: ParamBox) -> float:
-    return box.p_low + (box.p_high - box.p_low) * expit(t)
-
-
-def _t_from_p(p: float, box: ParamBox) -> float:
-    p = min(max(p, box.p_low + 1e-9), box.p_high - 1e-9)
-    return float(logit((p - box.p_low) / (box.p_high - box.p_low)))
-
-
 def _smoothing_factor(cfg: ContrastConfig, n: int, scale: float) -> np.ndarray:
     """Squared Gaussian kernel transform at bandwidth SMOOTH_C * n^{-1/4} (standardized)."""
     b = SMOOTH_C * n ** -0.25 * scale
     return np.exp(-(b * cfg.weight_rule.nodes) ** 2)
 
 
+def _descend(ev: ContrastEvaluator, start: EuclideanParam, cfg: FitConfig):
+    """One L-BFGS-B descent of the plug-in contrast from `start`, p bounded to the box."""
+    box = cfg.box
+    return minimize(lambda z: ev.plugin_value_gradient(EuclideanParam(*z)),
+                    start.as_array(), jac=True, method="L-BFGS-B",
+                    bounds=[(box.p_low, box.p_high), (None, None), (None, None)],
+                    options=dict(maxiter=cfg.max_iter, ftol=1e-16, gtol=1e-12))
+
+
 def fit(sample: Sample, cfg: FitConfig | None = None,
         ccfg: ContrastConfig | None = None) -> FitResult:
     """Estimate (p, alpha, beta) from a sample of the mixture.
+
+    Each start of `initial_points` runs one bounded descent (at most
+    cfg.max_iter L-BFGS-B iterations); the result is `converged` unless the
+    winning start hit that limit.
 
     Raises SampleTooSmall below 10 observations and DegenerateFit when every
     optimization path collapses to the p-boundary or merges the locations
@@ -168,39 +169,20 @@ def fit(sample: Sample, cfg: FitConfig | None = None,
     scale = robust_scale(sample.values)
     ev = ContrastEvaluator(sample, ccfg, weight_factor=_smoothing_factor(ccfg, sample.n, scale))
 
-    def objective(z):
-        theta = EuclideanParam(_p_from_t(z[0], box), z[1], z[2])
-        return ev.plugin(theta)
-
-    def objective_grad(z):
-        p = _p_from_t(z[0], box)
-        val, g = ev.plugin_value_gradient(EuclideanParam(p, z[1], z[2]))
-        sig = expit(z[0])
-        dp_dt = (box.p_high - box.p_low) * sig * (1.0 - sig)
-        return val, np.array([g[0] * dp_dt, g[1], g[2]])
-
     candidates = []
     for start in initial_points(sample, cfg):
-        z0 = np.array([_t_from_p(start.p, box), start.alpha, start.beta])
-        nm = minimize(objective, z0, method="Nelder-Mead",
-                      options=dict(maxiter=cfg.max_iter, maxfev=3 * cfg.max_iter,
-                                   xatol=1e-8, fatol=cfg.tol * 1e-4))
-        polished = minimize(objective_grad, nm.x, jac=True, method="L-BFGS-B",
-                       options=dict(maxiter=200, ftol=1e-16, gtol=1e-12))
-        z = polished.x if polished.fun <= nm.fun else nm.x
-        fun = min(float(polished.fun), float(nm.fun))
-        p = _p_from_t(z[0], box)
-        a, b = float(z[1]), float(z[2])
-        if p > 0.5:
-            p, a, b = 1.0 - p, b, a
+        res = _descend(ev, start, cfg)
+        p, a, b = (float(v) for v in res.x)
         pinned = p <= box.p_low + 1e-3 * (box.p_high - box.p_low) \
             or p >= box.p_high - 1e-3 * (box.p_high - box.p_low)
         merged = abs(a - b) < max(box.sep_min, 1e-3 * scale)
         candidates.append({
             "theta": (p, a, b),
-            "objective": fun,
+            "objective": float(res.fun),
             "degenerate": bool(pinned or merged),
-            "converged": bool(nm.success or polished.success),
+            # an ABNORMAL line search at the rounding floor is a finished
+            # descent; only running out of iterations is not
+            "converged": res.status != 1,
         })
 
     valid = [c for c in candidates if not c["degenerate"]]
@@ -235,7 +217,6 @@ def fit(sample: Sample, cfg: FitConfig | None = None,
         "robust_scale": scale,
         "starts": cfg.starts,
         "max_iter": cfg.max_iter,
-        "tol": cfg.tol,
         "box": {"p_low": box.p_low, "p_high": box.p_high, "sep_min": box.sep_min},
         "covariance_form": sigma_form,
     }
@@ -303,28 +284,13 @@ def leave_one_out_thetas(sample: Sample, theta_hat: EuclideanParam,
     """Exact leave-one-out refits, warm-started at the full-sample estimate."""
     cfg = cfg or FitConfig()
     ccfg = ccfg or default_contrast_config(sample)
-    box = cfg.box
     out = []
     for k in range(sample.n):
         sub = Sample(np.delete(sample.values, k))
         scale = robust_scale(sub.values)
         ev = ContrastEvaluator(sub, ccfg, weight_factor=_smoothing_factor(ccfg, sub.n, scale))
-
-        def objective_grad(z):
-            p = _p_from_t(z[0], box)
-            val, g = ev.plugin_value_gradient(EuclideanParam(p, z[1], z[2]))
-            sig = expit(z[0])
-            dp_dt = (box.p_high - box.p_low) * sig * (1.0 - sig)
-            return val, np.array([g[0] * dp_dt, g[1], g[2]])
-
-        z0 = np.array([_t_from_p(theta_hat.p, box), theta_hat.alpha, theta_hat.beta])
-        res = minimize(objective_grad, z0, jac=True, method="L-BFGS-B",
-                       options=dict(maxiter=200, ftol=1e-16, gtol=1e-12))
-        p = _p_from_t(res.x[0], box)
-        a, b = float(res.x[1]), float(res.x[2])
-        if p > 0.5:
-            p, a, b = 1.0 - p, b, a
-        if abs(a - b) < box.sep_min:
+        p, a, b = (float(v) for v in _descend(ev, theta_hat, cfg).x)
+        if abs(a - b) < cfg.box.sep_min:
             out.append(theta_hat)
         else:
             out.append(EuclideanParam(p, a, b))

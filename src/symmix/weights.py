@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -90,6 +91,15 @@ class WeightRule:
         )
 
 
+@lru_cache(maxsize=None)
+def _legendre(count: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per count, read-only."""
+    x, w = leggauss(count)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _half_axis_panels(m: int, cutoff: float):
     """Split m nodes over equal panels of (0, cutoff], at most 8 nodes each."""
     k = max(1, m // _NODES_PER_PANEL)
@@ -138,7 +148,7 @@ def build_weight_rule(density_id: str = "laplace_default",
     counts, edges = _half_axis_panels(m, cutoff)
     nodes_parts, weight_parts = [], []
     for j, cnt in enumerate(counts):
-        x, gw = leggauss(cnt)
+        x, gw = _legendre(cnt)
         a, b = edges[j], edges[j + 1]
         u = 0.5 * (b - a) * x + 0.5 * (b + a)
         w = 0.5 * (b - a) * gw * laplace_density(u)

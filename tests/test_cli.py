@@ -105,6 +105,15 @@ def test_fit_seed_flag_does_not_change_output(rainfall, capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
+def test_invalid_seed_variable_rejected(rainfall, capsys, monkeypatch, value):
+    monkeypatch.setenv("SYMMIX_SEED", value)
+    code, out, err = run_cli(["fit", rainfall], capsys)
+    assert code == 2
+    assert "SYMMIX_SEED" in err
+    assert out == ""
+
+
 # -------------------------------------------------------------------- density
 
 

@@ -8,6 +8,7 @@ from symmix import (BadCharacteristicFunction, BadSmoothness, ContrastConfig,
                     build_weight_rule, contrast_gradient, default_trunc_h,
                     empirical_contrast, j_func, m_func, oracle_contrast,
                     plugin_contrast, z_score, z_score_gradient)
+from symmix.contrast import m_dot
 from symmix.simulate import replication_rng
 
 THETA0 = EuclideanParam(0.25, -1.0, 2.0)
@@ -253,3 +254,58 @@ def test_user_table_rule_drives_contrast():
     cfg = ContrastConfig(table_rule, trunc_h=1.0 / 30.0)
     sample = gauss_sample(30)
     assert empirical_contrast(sample, THETA0, cfg) == empirical_contrast(sample, THETA0, CFG)
+
+
+# ------------------------------------------------------------- node folding
+
+
+def _asymmetric_table():
+    """Unequal weights on +-u, and a few positive nodes without a mirror."""
+    u_pos = RULE.nodes[RULE.nodes > 0]
+    w_pos = RULE.weights[RULE.nodes > 0]
+    keep = np.ones(u_pos.size, dtype=bool)
+    keep[[3, 40, 77]] = False                     # these +u lose their -u partner
+    nodes = np.concatenate([-u_pos[keep], u_pos])
+    weights = np.concatenate([0.6 * w_pos[keep], 1.4 * w_pos])
+    return build_weight_rule("user_table", table=(nodes, weights))
+
+
+@pytest.mark.parametrize("rule", [RULE, _asymmetric_table()], ids=["default", "asymmetric"])
+def test_folded_nodes_equal_full_node_evaluation(rule):
+    from symmix.estimator import _information_and_score
+
+    cfg = ContrastConfig(rule, trunc_h=1.0 / 30.0)
+    factor = 1.0 + 0.3 * np.tanh(rule.nodes)       # not even in u either
+    sample = gauss_sample(40)
+    theta = EuclideanParam(0.3, -0.5, 1.7)
+    ev = ContrastEvaluator(sample, cfg, weight_factor=factor)
+    assert np.all(ev.u >= 0.0) and np.all(np.diff(ev.u) > 0.0)
+    assert ev.u.size == np.unique(np.abs(rule.nodes)).size < rule.nodes.size
+
+    # literal evaluation on every node of the rule, complex arithmetic
+    u, w, x, n = rule.nodes, rule.weights * factor, sample.values, sample.n
+    e = np.exp(1j * np.outer(u, x))
+    m = m_func(theta, u)
+    v = np.imag(e / m[:, None])                                    # (Q, n)
+    d = np.imag(e[None] * (m_dot(theta, u) / (m * m))[:, :, None])  # (3, Q, n)
+    sv, sd = v.sum(axis=1), d.sum(axis=2)
+    plugin = np.dot(w, (sv / n) ** 2)
+    plugin_grad = -2.0 * (sd / n) @ (w * sv / n)
+    pair = np.dot(w, sv ** 2 - (v * v).sum(axis=1)) / (n * (n - 1))
+    pair_grad = -2.0 * (sd * sv - (d * v).sum(axis=2)) @ w / (n * (n - 1))
+
+    class FullNodes:
+        def score_matrices(self, _theta):
+            return v, d, w
+
+    def close(got, want):
+        return np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+    val, grad = ev.plugin_value_gradient(theta)
+    assert close(ev.plugin(theta), plugin) and close(val, plugin)
+    assert close(grad, plugin_grad)
+    assert close(ev.u_statistic(theta), pair)
+    assert close(ev.u_statistic_gradient(theta), pair_grad)
+    for got, want in zip(_information_and_score(ev, theta, n),
+                         _information_and_score(FullNodes(), theta, n)):
+        assert close(got, want)

@@ -114,6 +114,30 @@ def test_fit_near_single_component():
     assert res.theta_hat.p < 0.12 or se[1] > 3.0 * se[2]
 
 
+def test_fit_search_evaluation_budget(monkeypatch):
+    # every objective evaluation of the search, with or without gradient
+    from symmix import ContrastEvaluator
+    calls = []
+    for name in ("plugin", "plugin_value_gradient"):
+        inner = getattr(ContrastEvaluator, name)
+        monkeypatch.setattr(ContrastEvaluator, name,
+                            lambda ev, theta, inner=inner: calls.append(theta) or inner(ev, theta))
+    fit(gauss_sample(100, seed=7))
+    assert 0 < len(calls) <= 400
+
+
+def test_fit_unconverged_at_iteration_limit():
+    res = fit(gauss_sample(100, seed=7), FitConfig(max_iter=2))
+    assert res.converged is False
+
+
+def test_fit_reaches_laplace_row_minimum():
+    spec = ScenarioSpec("laplace", THETA0, 100, 1, 7)
+    res = fit(sample_mixture(spec, 51))
+    assert res.converged
+    assert res.objective_at_opt < 1e-4
+
+
 # ------------------------------------------------------------------ covariance
 
 

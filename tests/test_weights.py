@@ -101,3 +101,13 @@ def test_scale_aware_cutoff():
     assert scale_aware_cutoff(10.0) == pytest.approx(0.6)
     with pytest.raises(ValueError):
         scale_aware_cutoff(0.0)
+
+
+def test_cached_legendre_base_rule_is_read_only():
+    from numpy.polynomial.legendre import leggauss
+    from symmix.weights import _legendre
+
+    x, w = _legendre(8)
+    assert _legendre(8)[0] is x
+    assert not x.flags.writeable and not w.flags.writeable
+    assert np.array_equal(x, leggauss(8)[0]) and np.array_equal(w, leggauss(8)[1])

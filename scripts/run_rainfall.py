@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Analyze the bundled 70-city precipitation dataset.
 
-Fits the two-component model, deconvolves the component density, and writes
-results/rainfall_fit.json plus results/rainfall_curves.csv (columns x, f_raw,
-f_tilde, g_n, g_reconstructed) for external plotting.
+Runs `symmix fit` and then `symmix density` at the fitted parameters on the
+bundled data, writing results/rainfall_fit.json plus
+results/rainfall_curves.csv (columns x, f_raw, f_tilde, g_n,
+g_reconstructed, with its .meta.json) for external plotting.
 
 Usage:
     python scripts/run_rainfall.py
@@ -17,39 +18,35 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import numpy as np  # noqa: E402
 
-from symmix import (DensityConfig, Sample, deconvolved_density_values,  # noqa: E402
-                    default_bandwidth, estimate_density, estimate_g, fit)
-from symmix.cli import rainfall_path, read_numeric_csv  # noqa: E402
+from symmix.cli import main as cli_main, rainfall_path  # noqa: E402
+
+FIT_OUT = "results/rainfall_fit.json"
+CURVES_OUT = "results/rainfall_curves.csv"
+
+
+def _read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def main():
     os.makedirs("results", exist_ok=True)
-    sample = Sample(read_numeric_csv(rainfall_path()))
-    res = fit(sample)
-    th = res.theta_hat
-    print(f"fitted parameters: p={th.p:.4f} alpha={th.alpha:.3f} beta={th.beta:.3f}")
-    print(f"standard errors:   {np.round(res.std_errors, 4).tolist()}")
+    if cli_main(["fit", rainfall_path(), "--out", FIT_OUT]) != 0:
+        return 1
+    res = _read_json(FIT_OUT)
+    th = res["theta_hat"]
+    print(f"fitted parameters: p={th['p']:.4f} alpha={th['alpha']:.3f} beta={th['beta']:.3f}")
+    print(f"standard errors:   {np.round(res['std_errors'], 4).tolist()}")
 
-    bandwidth = default_bandwidth(sample.n)
-    cfg = DensityConfig(bandwidth=bandwidth)
-    curve = estimate_density(sample, th, cfg)
-    g_curve = estimate_g(sample, cfg, xs=curve.xs)
-    fa = deconvolved_density_values(sample, th, bandwidth, curve.xs - th.alpha)
-    fb = deconvolved_density_values(sample, th, bandwidth, curve.xs - th.beta)
-    recon = th.p * fa + (1.0 - th.p) * fb
-    print(f"bandwidth={bandwidth:.4f} mass_kept={curve.mass_kept:.4f} "
-          f"renorm_factor={curve.renorm_factor:.4f}")
-
-    with open("results/rainfall_fit.json", "w", encoding="utf-8") as fh:
-        json.dump(res.to_dict(), fh, indent=2, sort_keys=True)
-    with open("results/rainfall_curves.csv", "w", encoding="utf-8") as fh:
-        fh.write("x,f_raw,f_tilde,g_n,g_reconstructed\n")
-        for i in range(curve.xs.size):
-            fh.write(",".join(repr(float(v)) for v in
-                              (curve.xs[i], curve.f_raw[i], curve.f_tilde[i],
-                               g_curve.values[i], recon[i])) + "\n")
-    print("wrote results/rainfall_fit.json and results/rainfall_curves.csv")
+    theta = f"{th['p']!r},{th['alpha']!r},{th['beta']!r}"
+    if cli_main(["density", rainfall_path(), "--theta", theta, "--out", CURVES_OUT]) != 0:
+        return 1
+    meta = _read_json(CURVES_OUT + ".meta.json")
+    print(f"bandwidth={meta['bandwidth']:.4f} mass_kept={meta['mass_kept']:.4f} "
+          f"renorm_factor={meta['renorm_factor']:.4f}")
+    print(f"wrote {FIT_OUT} and {CURVES_OUT}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -13,7 +13,6 @@ import hashlib
 import json
 import os
 import sys
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ from .density import DensityConfig, deconvolved_density_values, default_bandwidt
     estimate_density, estimate_g
 from .errors import DegenerateFit, DegenerateParam, EmptyPositivePart, SampleTooSmall, \
     SymmixError
-from .estimator import FitConfig, fit, robust_scale
+from .estimator import FitConfig, _smoothed_evaluator, fit, robust_scale
 from .params import EuclideanParam, Sample
 from .simulate import MCSummary, ScenarioSpec, run_scenario
 from .weights import build_weight_rule, scale_aware_cutoff
@@ -44,8 +43,6 @@ class RunManifest:
     config: dict
     seed: int | None
     version: str
-    created_at: float
-    jobs: int = 1
 
     def core_dict(self) -> dict:
         """Deterministic portion embedded in outputs; excludes timing and worker count."""
@@ -209,7 +206,7 @@ def cmd_fit(args) -> int:
     manifest = RunManifest(
         subcommand="fit", input_path=args.csv_path, input_sha256=_sha256(args.csv_path),
         config=_config_echo(args, sample, ccfg), seed=None,
-        version=__version__, created_at=time.time())
+        version=__version__)
     payload = result.to_dict()
     payload["manifest"] = {**payload["manifest"], **manifest.core_dict()}
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
@@ -241,7 +238,7 @@ def cmd_density(args) -> int:
             "grid": list(grid) if grid else None,
             "theta": {"p": theta.p, "alpha": theta.alpha, "beta": theta.beta},
         }),
-        seed=None, version=__version__, created_at=time.time())
+        seed=None, version=__version__)
 
     lines = ["x,f_raw,f_tilde,g_n,g_reconstructed"]
     for i in range(curve.xs.size):
@@ -287,7 +284,7 @@ def cmd_simulate(args) -> int:
         config={"family": spec.family, "n": spec.n, "M": spec.replications,
                 "theta0": [spec.theta0.p, spec.theta0.alpha, spec.theta0.beta],
                 "mix_lambda": spec.mix_lambda, "starts": args.starts},
-        seed=spec.seed, version=__version__, created_at=time.time(), jobs=args.jobs)
+        seed=spec.seed, version=__version__)
 
     csv_text = _summary_csv(summary)
     archive = {"manifest": manifest.core_dict(), "summary": summary.to_dict()}
@@ -310,10 +307,7 @@ def cmd_scan(args) -> int:
     lo, hi, steps = _parse_triple(args.range, "--range")
     values = np.linspace(lo, hi, steps)
     ev = ContrastEvaluator(sample, ccfg)
-    from .estimator import _smoothing_factor
-    ev_obj = ContrastEvaluator(
-        sample, ccfg,
-        weight_factor=_smoothing_factor(ccfg, sample.n, robust_scale(sample.values)))
+    ev_obj = _smoothed_evaluator(sample, ccfg)
 
     lines = [f"{args.param},contrast,objective"]
     for v in values:
@@ -331,7 +325,7 @@ def cmd_scan(args) -> int:
         config=_config_echo(args, sample, ccfg, {
             "param": args.param, "range": [lo, hi, steps],
             "theta_hat": {"p": theta.p, "alpha": theta.alpha, "beta": theta.beta}}),
-        seed=None, version=__version__, created_at=time.time())
+        seed=None, version=__version__)
     text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     if args.out:

@@ -28,6 +28,12 @@ sum_{j != k} v_j v_k = (sum_k v_k)^2 - sum_k v_k^2, so one evaluation costs
 O(Q) after an O(nQ) per-sample precompute (Q = active nodes, with +-u
 folded onto |u|; see ContrastEvaluator).  All arithmetic is real; reality
 of the statistics is structural, not numerical.
+
+Values, gradients and the sandwich covariance pieces all come from one
+derivative block (1/M, Mdot/M^2) on the nodes: V_n is the weighted sum of
+squares r^T W r of the residual r(u) = Im(ghat*(u)/M(theta, u)), its
+gradient is 2 J W r, and `ContrastEvaluator.information_and_score` returns
+the curvature 2 J W J^T and the score outer product for the sandwich.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadCharacteristicFunction, BadSmoothness, SampleTooSmall
-from .params import EuclideanParam, Sample
+from .params import EuclideanParam, Sample, m_func
 from .weights import WeightRule, build_weight_rule
 
 __all__ = [
@@ -101,8 +107,6 @@ def z_score(theta: EuclideanParam, u, x) -> np.ndarray:
     """Per-observation score Z(theta, u) = e^{iuX}/M(u) - e^{-iuX}/M(-u); purely imaginary."""
     u = np.asarray(u, dtype=float)
     x = np.asarray(x, dtype=float)
-    from .params import m_func
-
     psi = np.exp(1j * u * x) / m_func(theta, u)
     return psi - np.conj(psi)
 
@@ -111,8 +115,6 @@ def z_score_gradient(theta: EuclideanParam, u, x) -> np.ndarray:
     """Gradient of Z in (p, alpha, beta): -2i Im(e^{iuX} Mdot / M^2), shape (3,) + broadcast."""
     u = np.asarray(u, dtype=float)
     x = np.asarray(x, dtype=float)
-    from .params import m_func
-
     m = m_func(theta, u)
     c = m_dot(theta, u) / (m * m)
     t = np.exp(1j * u * x) * c
@@ -122,8 +124,6 @@ def z_score_gradient(theta: EuclideanParam, u, x) -> np.ndarray:
 def j_func(gstar, theta: EuclideanParam, u) -> np.ndarray:
     """Population counterpart J(theta, u) = g*(u)/M(u) - g*(-u)/M(-u)."""
     u = np.asarray(u, dtype=float)
-    from .params import m_func
-
     return gstar(u) / m_func(theta, u) - gstar(-u) / m_func(theta, -u)
 
 
@@ -132,8 +132,13 @@ class ContrastEvaluator:
 
     weight_factor, if given, multiplies the rule weights node-wise (used by
     the estimator to fold characteristic-function smoothing into the
-    objective).  Keeps the per-observation Re/Im matrices for covariance
-    plug-ins.
+    objective).  The precompute keeps the per-observation Re/Im matrices of
+    e^{iuX_k} and their O(Q) sums; every method is built by broadcasting
+    from one derivative block (1/M, Mdot/M^2) of shape (Q,) and (3, Q) and
+    the sum sum_k Im(z e^{iuX_k}) = Im z * S_re + Re z * S_im.  In
+    least-squares form the plug-in objective is V_n = r^T W r with residual
+    r = sum_k Im(e^{iuX_k}/M)/n and Jacobian J = -sum_k Im(e^{iuX_k} Mdot/M^2)/n;
+    the sandwich pieces of `information_and_score` come from the same J.
 
     The active nodes are folded onto |u|: M(-u) = conj M(u) makes
     v_k(-u) = -v_k(u) and its gradient odd too, so every integrand here is
@@ -164,83 +169,65 @@ class ContrastEvaluator:
         self._q_ri = np.einsum("qk,qk->q", self._re, self._im)
 
     def _inv_m(self, theta: EuclideanParam) -> np.ndarray:
-        m = theta.p * np.exp(1j * self.u * theta.alpha) \
-            + (1.0 - theta.p) * np.exp(1j * self.u * theta.beta)
-        return 1.0 / m
+        return 1.0 / m_func(theta, self.u)
 
-    def _s1_s2(self, inv: np.ndarray):
-        a, b = inv.real, inv.imag
-        s1 = b * self._s_re + a * self._s_im
-        s2 = b * b * self._q_rr + 2.0 * a * b * self._q_ri + a * a * self._q_ii
-        return s1, s2
+    def _block(self, theta: EuclideanParam):
+        """Derivative block (1/M, Mdot/M^2) on the nodes, shapes (Q,) and (3, Q)."""
+        iu = 1j * self.u
+        ea, eb = np.exp(iu * theta.alpha), np.exp(iu * theta.beta)
+        inv = 1.0 / (theta.p * ea + (1.0 - theta.p) * eb)
+        # m_dot's formula on the phases already computed for 1/M
+        mdot = np.stack([ea - eb, iu * theta.p * ea, iu * (1.0 - theta.p) * eb])
+        return inv, mdot * (inv * inv)
+
+    def _sums(self, z: np.ndarray) -> np.ndarray:
+        """sum_k Im(z e^{iuX_k}) node-wise, for z of shape (Q,) or (3, Q)."""
+        return z.imag * self._s_re + z.real * self._s_im
+
+    def _squares(self, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """sum_k Im(y e^{iuX_k}) Im(z e^{iuX_k}) node-wise, broadcasting like `_sums`."""
+        return (y.imag * z.imag) * self._q_rr + (y.imag * z.real + y.real * z.imag) * self._q_ri \
+            + (y.real * z.real) * self._q_ii
 
     def u_statistic(self, theta: EuclideanParam) -> float:
         """Diagonal-removed pair statistic S_n(theta)."""
-        s1, s2 = self._s1_s2(self._inv_m(theta))
+        inv = self._inv_m(theta)
+        s1 = self._sums(inv)
         n = self.n
-        return float(np.dot(self.w, s1 * s1 - s2) / (n * (n - 1)))
+        return float(np.dot(self.w, s1 * s1 - self._squares(inv, inv)) / (n * (n - 1)))
 
     def plugin(self, theta: EuclideanParam) -> float:
         """Plug-in statistic V_n(theta) = int Im(ghat*/M)^2 dW >= 0."""
-        s1, _ = self._s1_s2(self._inv_m(theta))
-        s1 = s1 / self.n
-        return float(np.dot(self.w, s1 * s1))
-
-    def _grad_pieces(self, theta: EuclideanParam):
-        u = self.u
-        ea = np.exp(1j * u * theta.alpha)
-        eb = np.exp(1j * u * theta.beta)
-        m = theta.p * ea + (1.0 - theta.p) * eb
-        inv = 1.0 / m
-        inv2 = inv * inv
-        c = np.stack([(ea - eb) * inv2,
-                      1j * u * theta.p * ea * inv2,
-                      1j * u * (1.0 - theta.p) * eb * inv2])
-        return inv, c
+        r = self._sums(self._inv_m(theta)) / self.n
+        return float(np.dot(self.w, r * r))
 
     def u_statistic_gradient(self, theta: EuclideanParam) -> np.ndarray:
         """Gradient of S_n in (p, alpha, beta), from the closed-form Z-gradient."""
-        inv, c = self._grad_pieces(theta)
-        a, b = inv.real, inv.imag
-        s1 = b * self._s_re + a * self._s_im
+        inv, c = self._block(theta)
         n = self.n
-        grad = np.empty(3)
-        for j in range(3):
-            cr, ci = c[j].real, c[j].imag
-            d_sum = ci * self._s_re + cr * self._s_im
-            dv_sum = (ci * b) * self._q_rr + (ci * a + cr * b) * self._q_ri \
-                + (cr * a) * self._q_ii
-            grad[j] = -2.0 * np.dot(self.w, s1 * d_sum - dv_sum) / (n * (n - 1))
-        return grad
+        dv = self._sums(inv) * self._sums(c) - self._squares(inv, c)
+        return -2.0 * (dv @ self.w) / (n * (n - 1))
 
     def plugin_value_gradient(self, theta: EuclideanParam):
-        """Plug-in statistic and its gradient in (p, alpha, beta)."""
-        inv, c = self._grad_pieces(theta)
-        a, b = inv.real, inv.imag
-        s1 = (b * self._s_re + a * self._s_im) / self.n
-        val = float(np.dot(self.w, s1 * s1))
-        grad = np.empty(3)
-        for j in range(3):
-            cr, ci = c[j].real, c[j].imag
-            d_sum = (ci * self._s_re + cr * self._s_im) / self.n
-            grad[j] = -2.0 * np.dot(self.w, s1 * d_sum)
-        return val, grad
+        """Plug-in statistic r^T W r and its gradient 2 J W r in (p, alpha, beta)."""
+        inv, c = self._block(theta)
+        r, jac = self._sums(inv) / self.n, -self._sums(c) / self.n
+        wr = self.w * r
+        return float(np.dot(r, wr)), 2.0 * jac @ wr
 
-    def score_matrices(self, theta: EuclideanParam):
-        """Node-by-observation score pieces for covariance plug-ins.
+    def information_and_score(self, theta: EuclideanParam):
+        """Sandwich pieces (info, v_hat) of the plug-in contrast at theta, each (3, 3).
 
-        Returns (v, d, w) with v[q, k] = Im psi_k(u_q), d[j, q, k] the
-        (p, alpha, beta)-gradient of v (so Z = 2iv, Zdot = -2id), and the
-        active weights.
+        info = 2 J W J^T is the contrast's Gauss-Newton curvature; v_hat =
+        U U^T / (4n) with U_k = -4 J W Im(e^{iuX_k}/M) the per-observation
+        score, formed from the stored Re/Im matrices without a Q x n temporary.
         """
-        inv, c = self._grad_pieces(theta)
-        a, b = inv.real, inv.imag
-        v = b[:, None] * self._re + a[:, None] * self._im
-        d = np.empty((3,) + v.shape)
-        for j in range(3):
-            cr, ci = c[j].real, c[j].imag
-            d[j] = ci[:, None] * self._re + cr[:, None] * self._im
-        return v, d, self.w
+        inv, c = self._block(theta)
+        jac = -self._sums(c) / self.n
+        jw = jac * self.w
+        info = 2.0 * jw @ jac.T
+        score = -4.0 * ((jw * inv.imag) @ self._re + (jw * inv.real) @ self._im)
+        return info, score @ score.T / (4.0 * self.n)
 
 
 def empirical_contrast(sample: Sample, theta: EuclideanParam, cfg: ContrastConfig) -> float:
@@ -271,7 +258,5 @@ def oracle_contrast(gstar, theta: EuclideanParam, cfg: ContrastConfig) -> float:
     mask = np.abs(rule.nodes) <= (1.0 / cfg.trunc_h) * (1.0 + 1e-12)
     u = rule.nodes[mask]
     w = rule.weights[mask]
-    from .params import m_func
-
     im_part = np.imag(np.asarray(gstar(u)) / m_func(theta, u))
     return float(np.dot(w, im_part * im_part))

@@ -15,6 +15,11 @@ contrast.  Candidates that collapse onto the box edge in p or merge the two
 locations are set aside as degenerate; the smallest objective among the
 remaining candidates wins.  Leave-one-out refits run the same descent from
 the full-sample estimate.
+
+The plug-in sandwich covariance I^{-1} V I^{-1} takes both pieces from
+`ContrastEvaluator.information_and_score` on the same smoothed evaluator:
+I = 2 J W J^T from the contrast's Jacobian and V from the per-observation
+scores, with no node-by-observation score matrix.
 """
 
 from __future__ import annotations
@@ -139,6 +144,15 @@ def _smoothing_factor(cfg: ContrastConfig, n: int, scale: float) -> np.ndarray:
     return np.exp(-(b * cfg.weight_rule.nodes) ** 2)
 
 
+def _smoothed_evaluator(sample: Sample, ccfg: ContrastConfig,
+                        scale: float | None = None) -> ContrastEvaluator:
+    """Evaluator of the fit objective: rule weights times the smoothing factor."""
+    if scale is None:
+        scale = robust_scale(sample.values)
+    return ContrastEvaluator(sample, ccfg,
+                             weight_factor=_smoothing_factor(ccfg, sample.n, scale))
+
+
 def _descend(ev: ContrastEvaluator, start: EuclideanParam, cfg: FitConfig):
     """One L-BFGS-B descent of the plug-in contrast from `start`, p bounded to the box."""
     box = cfg.box
@@ -167,7 +181,7 @@ def fit(sample: Sample, cfg: FitConfig | None = None,
     ccfg = ccfg or default_contrast_config(sample)
     box = cfg.box
     scale = robust_scale(sample.values)
-    ev = ContrastEvaluator(sample, ccfg, weight_factor=_smoothing_factor(ccfg, sample.n, scale))
+    ev = _smoothed_evaluator(sample, ccfg, scale)
 
     candidates = []
     for start in initial_points(sample, cfg):
@@ -202,7 +216,7 @@ def fit(sample: Sample, cfg: FitConfig | None = None,
         if np.max(np.abs(np.array(c["theta"]) - ref)) <= tol_agree:
             agree += 1
 
-    cov, sigma_form = _covariance_with_fallback(ev, theta_hat, sample.n)
+    cov, sigma_form = _covariance_with_fallback(ev, theta_hat)
     std_errors = np.sqrt(np.maximum(np.diag(cov), 0.0) / sample.n)
 
     manifest = {
@@ -232,15 +246,6 @@ def fit(sample: Sample, cfg: FitConfig | None = None,
     )
 
 
-def _information_and_score(ev: ContrastEvaluator, theta: EuclideanParam, n: int):
-    v, d, w = ev.score_matrices(theta)
-    dbar = d.mean(axis=2)                      # (3, Q): mean of the score gradients
-    info = 2.0 * (dbar * w) @ dbar.T           # -1/2 int Jdot Jdot^T dW for Jdot = -2i dbar
-    u_k = 4.0 * dbar @ (w[:, None] * v)        # (3, n): U_k = int Z_k Jdot dW
-    v_hat = (u_k @ u_k.T) / (4.0 * n)
-    return info, v_hat
-
-
 def asymptotic_covariance(sample: Sample, theta_hat: EuclideanParam,
                           ccfg: ContrastConfig, form: str = "sandwich",
                           smoothed: bool = True) -> np.ndarray:
@@ -255,9 +260,8 @@ def asymptotic_covariance(sample: Sample, theta_hat: EuclideanParam,
         raise SampleTooSmall("covariance plug-in needs n >= 10")
     if form not in ("sandwich", "stated"):
         raise ValueError(f"unknown form {form!r}")
-    factor = _smoothing_factor(ccfg, sample.n, robust_scale(sample.values)) if smoothed else None
-    ev = ContrastEvaluator(sample, ccfg, weight_factor=factor)
-    info, v_hat = _information_and_score(ev, theta_hat, sample.n)
+    ev = _smoothed_evaluator(sample, ccfg) if smoothed else ContrastEvaluator(sample, ccfg)
+    info, v_hat = ev.information_and_score(theta_hat)
     if np.linalg.cond(info) > 1e12:
         raise SingularInformation(
             f"information matrix condition number {np.linalg.cond(info):.3g} exceeds 1e12")
@@ -266,8 +270,8 @@ def asymptotic_covariance(sample: Sample, theta_hat: EuclideanParam,
     return 0.5 * (cov + cov.T)
 
 
-def _covariance_with_fallback(ev: ContrastEvaluator, theta: EuclideanParam, n: int):
-    info, v_hat = _information_and_score(ev, theta, n)
+def _covariance_with_fallback(ev: ContrastEvaluator, theta: EuclideanParam):
+    info, v_hat = ev.information_and_score(theta)
     if np.linalg.cond(info) > 1e12:
         inv_i = np.linalg.pinv(info, rcond=1e-12)
         form = "sandwich-pinv"
@@ -286,9 +290,7 @@ def leave_one_out_thetas(sample: Sample, theta_hat: EuclideanParam,
     ccfg = ccfg or default_contrast_config(sample)
     out = []
     for k in range(sample.n):
-        sub = Sample(np.delete(sample.values, k))
-        scale = robust_scale(sub.values)
-        ev = ContrastEvaluator(sub, ccfg, weight_factor=_smoothing_factor(ccfg, sub.n, scale))
+        ev = _smoothed_evaluator(Sample(np.delete(sample.values, k)), ccfg)
         p, a, b = (float(v) for v in _descend(ev, theta_hat, cfg).x)
         if abs(a - b) < cfg.box.sep_min:
             out.append(theta_hat)

@@ -194,6 +194,23 @@ def test_gradient_matches_finite_differences():
     assert np.max(rel) <= 1e-5
 
 
+def test_plugin_gradient_matches_finite_differences():
+    sample = gauss_sample(80)
+    factor = 1.0 + 0.3 * np.tanh(RULE.nodes)       # not even in u
+    ev = ContrastEvaluator(sample, CFG, weight_factor=factor)
+    theta = EuclideanParam(0.3, -0.5, 1.7)
+    _, grad = ev.plugin_value_gradient(theta)
+    step = 1e-5
+    fd = np.empty(3)
+    base = theta.as_array()
+    for j in range(3):
+        hi, lo = base.copy(), base.copy()
+        hi[j] += step
+        lo[j] -= step
+        fd[j] = (ev.plugin(EuclideanParam(*hi)) - ev.plugin(EuclideanParam(*lo))) / (2 * step)
+    assert np.max(np.abs(grad - fd) / np.abs(fd)) <= 1e-6
+
+
 def test_gradient_swap_transformation():
     sample = gauss_sample(40)
     g = contrast_gradient(sample, THETA0, CFG)
@@ -272,8 +289,6 @@ def _asymmetric_table():
 
 @pytest.mark.parametrize("rule", [RULE, _asymmetric_table()], ids=["default", "asymmetric"])
 def test_folded_nodes_equal_full_node_evaluation(rule):
-    from symmix.estimator import _information_and_score
-
     cfg = ContrastConfig(rule, trunc_h=1.0 / 30.0)
     factor = 1.0 + 0.3 * np.tanh(rule.nodes)       # not even in u either
     sample = gauss_sample(40)
@@ -293,10 +308,10 @@ def test_folded_nodes_equal_full_node_evaluation(rule):
     plugin_grad = -2.0 * (sd / n) @ (w * sv / n)
     pair = np.dot(w, sv ** 2 - (v * v).sum(axis=1)) / (n * (n - 1))
     pair_grad = -2.0 * (sd * sv - (d * v).sum(axis=2)) @ w / (n * (n - 1))
-
-    class FullNodes:
-        def score_matrices(self, _theta):
-            return v, d, w
+    dbar = sd / n                          # mean score gradient, Zdot = -2i d
+    info = 2.0 * (dbar * w) @ dbar.T
+    u_k = 4.0 * dbar @ (w[:, None] * v)    # (3, n): U_k = int Z_k Jdot dW
+    v_hat = u_k @ u_k.T / (4.0 * n)
 
     def close(got, want):
         return np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
@@ -306,6 +321,5 @@ def test_folded_nodes_equal_full_node_evaluation(rule):
     assert close(grad, plugin_grad)
     assert close(ev.u_statistic(theta), pair)
     assert close(ev.u_statistic_gradient(theta), pair_grad)
-    for got, want in zip(_information_and_score(ev, theta, n),
-                         _information_and_score(FullNodes(), theta, n)):
-        assert close(got, want)
+    got_info, got_v_hat = ev.information_and_score(theta)
+    assert close(got_info, info) and close(got_v_hat, v_hat)

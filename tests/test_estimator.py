@@ -163,6 +163,24 @@ def test_covariance_forms():
         asymptotic_covariance(sample, res.theta_hat, ccfg, form="bogus")
 
 
+def test_covariance_memory_stays_below_one_score_matrix():
+    import tracemalloc
+
+    from symmix.estimator import _covariance_with_fallback, _smoothed_evaluator
+
+    sample = gauss_sample(20_000, rep=7)
+    ev = _smoothed_evaluator(sample, default_contrast_config(sample))
+    tracemalloc.start()
+    try:
+        cov, form = _covariance_with_fallback(ev, THETA0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # half of one node-by-observation float array
+    assert peak < 0.5 * ev.u.size * sample.n * 8 and peak < 10 * 2 ** 20
+    assert form == "sandwich" and np.all(np.isfinite(cov))
+
+
 def test_large_sample_within_four_plugin_ses():
     spec = ScenarioSpec("gauss", THETA0, 5000, 1, 31)
     sample = sample_mixture(spec, 0)

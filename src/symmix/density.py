@@ -1,16 +1,27 @@
 """Kernel deconvolution of the component density and the direct mixture KDE.
 
-With a Gaussian kernel the deconvolution estimator has the explicit
-cosine-integral form
+With a Gaussian kernel the deconvolution estimator is one inverse Fourier
+transform of the empirical characteristic function divided by M:
 
-    f_n(x) = (1/n) sum_k int Q(b, theta; u)
-             [ p cos(u(X_k - x - alpha)) + (1-p) cos(u(X_k - x - beta)) ] du,
+    f_n(x) = (1/pi) int_0^inf Re( ghat*(u) K*(b u) e^{-iux} / M(theta, u) ) du,
 
-    Q(theta, b; u) = (1/2pi) exp(-b^2 u^2 / 2) / |M(theta, u)|^2,
+    ghat*(u) = (1/n) sum_k e^{iuX_k},   K*(bu) = exp(-b^2 u^2 / 2),
+    M(theta, u) = p e^{iu alpha} + (1-p) e^{iu beta}.
 
-i.e. the empirical characteristic function is divided by M(theta, .) and
-smoothed by the kernel transform.  f_n is real by construction but can dip
-negative at small n; the truncated-renormalized version
+The integrand is discretized on a trapezoid u-grid, so f_n(x) =
+2 Re sum_u c(u) e^{-iux} with one coefficient vector c(u) =
+trap(u) K*(bu) / (2pi) * ghat*(u) / M(theta, u) per density.  In
+leave-one-out mode the k-th observation carries its own parameter and
+ghat*(u) / M(theta, u) becomes (1/n) sum_k e^{iuX_k} / M(theta_k, u).
+
+The data and the locations are first centred at the sample median m.  Each
+ratio e^{iuX} / M(theta, u) is unchanged by a common shift, so f_n is the
+same in exact arithmetic, but the phases stay of the order of the data's
+spread rather than of |m|: the estimate is translation-equivariant in
+floating point, and the u-grid's phase bound does not grow with |m|.
+
+f_n is real by construction but can dip negative at small n; the
+truncated-renormalized version
 
     ftilde_n = f_n 1{f_n >= 0} / int f_n 1{f_n >= 0}
 
@@ -27,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadSmoothness, EmptyPositivePart
-from .params import EuclideanParam, Sample, m_modulus_sq
+from .params import EuclideanParam, Sample
 
 __all__ = [
     "DensityConfig",
@@ -45,6 +56,8 @@ __all__ = [
 _TAIL_EPS = 1e-12
 _MIN_U_NODES = 512
 _MAX_U_NODES = 16384
+# entries of one block of an observation-by-node or point-by-node matrix
+_BLOCK_ELEMENTS = 2 ** 19
 
 
 @dataclass(frozen=True)
@@ -137,42 +150,58 @@ def _u_grid(bandwidth: float, max_phase_arg: float) -> tuple[np.ndarray, float]:
     return np.linspace(0.0, u_max, count), u_max
 
 
+def _blocks(count: int, width: int):
+    """Slices covering range(count), max(1, _BLOCK_ELEMENTS // width) long each."""
+    step = max(1, _BLOCK_ELEMENTS // max(width, 1))
+    return [slice(i, i + step) for i in range(0, count, step)]
+
+
 def deconvolved_density_values(sample: Sample, theta: EuclideanParam,
                                bandwidth: float, xs,
                                loo_thetas=None) -> np.ndarray:
-    """Evaluate f_n on arbitrary points via the cosine-integral formula.
+    """Evaluate f_n at arbitrary points as one inverse transform.
 
-    With loo_thetas (one parameter per observation) the k-th term uses its
-    own leave-one-out estimate, which is the exact cross-validated form.
+    f_n(x) = 2 Re sum_u c(u) e^{-iux} with c = trap K*(bu) / (2pi) * R(u),
+    R(u) = ghat*(u) / M(theta, u).  With loo_thetas (one parameter per
+    observation) the k-th term uses its own leave-one-out estimate,
+    R(u) = (1/n) sum_k e^{iuX_k} / M(theta_k, u), which is the exact
+    cross-validated form.  Data and locations are centred at the sample
+    median first; xs are points of the component's own coordinate and are
+    not shifted.  Observation and point sums run over blocks of about
+    _BLOCK_ELEMENTS matrix entries, so memory does not grow with n or xs.
     """
     xs = np.asarray(xs, dtype=float)
-    x_data = sample.values
-    arg_bound = (np.max(np.abs(x_data)) + np.max(np.abs(xs))
-                 + max(abs(theta.alpha), abs(theta.beta)))
+    if loo_thetas is not None and len(loo_thetas) != sample.n:
+        raise ValueError("need one leave-one-out parameter per observation")
+    m = float(np.median(sample.values))
+    x_data = sample.values - m
+    alpha, beta = theta.alpha - m, theta.beta - m
+    arg_bound = np.max(np.abs(x_data)) + np.max(np.abs(xs)) + max(abs(alpha), abs(beta))
     u, _ = _u_grid(bandwidth, arg_bound)
     trap = np.full(u.size, u[1] - u[0])
     trap[0] *= 0.5
     trap[-1] *= 0.5
     damp = np.exp(-0.5 * (bandwidth * u) ** 2) / (2.0 * math.pi)
 
+    ratio = np.zeros(u.size, dtype=complex)
     if loo_thetas is None:
-        q = damp / m_modulus_sq(theta, u)
-        ecf = np.exp(1j * np.outer(u, x_data)).mean(axis=1)
-        shift = (theta.p * np.exp(-1j * np.outer(u, xs + theta.alpha))
-                 + (1.0 - theta.p) * np.exp(-1j * np.outer(u, xs + theta.beta)))
-        integrand = (q * trap * ecf)[:, None] * shift
-        return 2.0 * integrand.real.sum(axis=0)
+        for blk in _blocks(sample.n, u.size):
+            ratio += np.exp(1j * np.outer(u, x_data[blk])).sum(axis=1)
+        ratio /= theta.p * np.exp(1j * u * alpha) + (1.0 - theta.p) * np.exp(1j * u * beta)
+    else:
+        # e^{iuX_k} / M(theta_k, u) = 1 / (p_k e^{iu(alpha_k-X_k)} + (1-p_k) e^{iu(beta_k-X_k)})
+        p_k, a_k, b_k = np.array([th.as_array() for th in loo_thetas]).T
+        a_k, b_k = a_k - sample.values, b_k - sample.values
+        for blk in _blocks(sample.n, u.size):
+            shifted_m = (p_k[blk] * np.exp(1j * np.outer(u, a_k[blk]))
+                         + (1.0 - p_k[blk]) * np.exp(1j * np.outer(u, b_k[blk])))
+            ratio += (1.0 / shifted_m).sum(axis=1)
+    coef = trap * damp * ratio / sample.n
 
-    if len(loo_thetas) != sample.n:
-        raise ValueError("need one leave-one-out parameter per observation")
-    out = np.zeros(xs.size)
-    for k, th_k in enumerate(loo_thetas):
-        q = damp / m_modulus_sq(th_k, u)
-        phase = np.exp(1j * u * x_data[k])
-        shift = (th_k.p * np.exp(-1j * np.outer(u, xs + th_k.alpha))
-                 + (1.0 - th_k.p) * np.exp(-1j * np.outer(u, xs + th_k.beta)))
-        out += 2.0 * ((q * trap * phase)[:, None] * shift).real.sum(axis=0)
-    return out / sample.n
+    out = np.empty(xs.size)
+    for blk in _blocks(xs.size, u.size):
+        out[blk] = 2.0 * (np.exp(-1j * np.outer(xs[blk], u)) @ coef).real
+    return out
 
 
 def estimate_density(sample: Sample, theta_hat: EuclideanParam, cfg: DensityConfig,
@@ -213,8 +242,11 @@ def estimate_g(sample: Sample, cfg: DensityConfig, xs=None) -> KernelCurve:
             xs = np.linspace(float(np.min(sample.values)) - 3.0 * b,
                              float(np.max(sample.values)) + 3.0 * b, 512)
     xs = np.asarray(xs, dtype=float)
-    z = (xs[:, None] - sample.values[None, :]) / cfg.bandwidth
-    vals = np.exp(-0.5 * z * z).sum(axis=1) / (sample.n * cfg.bandwidth * math.sqrt(2.0 * math.pi))
+    vals = np.zeros(xs.size)
+    for blk in _blocks(sample.n, xs.size):
+        z = (xs[:, None] - sample.values[None, blk]) / cfg.bandwidth
+        vals += np.exp(-0.5 * z * z).sum(axis=1)
+    vals /= sample.n * cfg.bandwidth * math.sqrt(2.0 * math.pi)
     return KernelCurve(xs=xs, values=vals, bandwidth=cfg.bandwidth)
 
 

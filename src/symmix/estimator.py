@@ -261,25 +261,35 @@ def asymptotic_covariance(sample: Sample, theta_hat: EuclideanParam,
     if form not in ("sandwich", "stated"):
         raise ValueError(f"unknown form {form!r}")
     ev = _smoothed_evaluator(sample, ccfg) if smoothed else ContrastEvaluator(sample, ccfg)
-    info, v_hat = ev.information_and_score(theta_hat)
-    if np.linalg.cond(info) > 1e12:
-        raise SingularInformation(
-            f"information matrix condition number {np.linalg.cond(info):.3g} exceeds 1e12")
-    inv_i = np.linalg.inv(info)
-    cov = inv_i @ v_hat @ (inv_i if form == "sandwich" else info)
-    return 0.5 * (cov + cov.T)
+    return _sandwich(ev, theta_hat, fallback=False, stated=form == "stated")[0]
 
 
-def _covariance_with_fallback(ev: ContrastEvaluator, theta: EuclideanParam):
+def _sandwich(ev: ContrastEvaluator, theta: EuclideanParam, fallback: bool,
+              stated: bool = False):
+    """Symmetrized I^{-1} V I^{-1} (I^{-1} V I when `stated`) and the form used.
+
+    An information matrix with condition number above 1e12 is inverted by
+    pinv when `fallback` ("sandwich-pinv"); otherwise it raises
+    SingularInformation.
+    """
     info, v_hat = ev.information_and_score(theta)
-    if np.linalg.cond(info) > 1e12:
+    cond = np.linalg.cond(info)
+    if cond > 1e12:
+        if not fallback:
+            raise SingularInformation(
+                f"information matrix condition number {cond:.3g} exceeds 1e12")
         inv_i = np.linalg.pinv(info, rcond=1e-12)
         form = "sandwich-pinv"
     else:
         inv_i = np.linalg.inv(info)
         form = "sandwich"
-    cov = inv_i @ v_hat @ inv_i
+    cov = inv_i @ v_hat @ (info if stated else inv_i)
     return 0.5 * (cov + cov.T), form
+
+
+def _covariance_with_fallback(ev: ContrastEvaluator, theta: EuclideanParam):
+    """The fit's sandwich covariance, by pinv when the information is ill-conditioned."""
+    return _sandwich(ev, theta, fallback=True)
 
 
 def leave_one_out_thetas(sample: Sample, theta_hat: EuclideanParam,

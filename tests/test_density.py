@@ -7,6 +7,9 @@ from symmix import (BadSmoothness, DensityConfig, EmptyPositivePart, EuclideanPa
                     Sample, ScenarioSpec, default_bandwidth, default_grid,
                     deconvolved_density_values, estimate_density, estimate_g,
                     leave_one_out_thetas, reconstruct_mixture, sample_mixture)
+from symmix import density
+from symmix.cli import rainfall_path, read_numeric_csv
+from symmix.params import m_modulus_sq
 
 THETA0 = EuclideanParam(0.25, -1.0, 2.0)
 
@@ -180,3 +183,124 @@ def test_empty_positive_part():
     with pytest.raises(EmptyPositivePart):
         estimate_density(sample, THETA0,
                          DensityConfig(bandwidth=cfg.bandwidth, grid=(lo, hi, 17)))
+
+
+def _reference_values(sample, theta, bandwidth, xs, loo_thetas=None):
+    """The cosine-integral form as two (U x X) outer products, literally.
+
+    Uncentred, with a per-observation loop in leave-one-out mode.
+    """
+    xs = np.asarray(xs, dtype=float)
+    x_data = sample.values
+    arg_bound = (np.max(np.abs(x_data)) + np.max(np.abs(xs))
+                 + max(abs(theta.alpha), abs(theta.beta)))
+    u, _ = density._u_grid(bandwidth, arg_bound)
+    trap = np.full(u.size, u[1] - u[0])
+    trap[0] *= 0.5
+    trap[-1] *= 0.5
+    damp = np.exp(-0.5 * (bandwidth * u) ** 2) / (2.0 * math.pi)
+    if loo_thetas is None:
+        q = damp / m_modulus_sq(theta, u)
+        ecf = np.exp(1j * np.outer(u, x_data)).mean(axis=1)
+        shift = (theta.p * np.exp(-1j * np.outer(u, xs + theta.alpha))
+                 + (1.0 - theta.p) * np.exp(-1j * np.outer(u, xs + theta.beta)))
+        return 2.0 * ((q * trap * ecf)[:, None] * shift).real.sum(axis=0)
+    out = np.zeros(xs.size)
+    for k, th_k in enumerate(loo_thetas):
+        q = damp / m_modulus_sq(th_k, u)
+        phase = np.exp(1j * u * x_data[k])
+        shift = (th_k.p * np.exp(-1j * np.outer(u, xs + th_k.alpha))
+                 + (1.0 - th_k.p) * np.exp(-1j * np.outer(u, xs + th_k.beta)))
+        out += 2.0 * ((q * trap * phase)[:, None] * shift).real.sum(axis=0)
+    return out / sample.n
+
+
+def _distinct_thetas(n):
+    return [EuclideanParam(0.25 + 0.1 * math.sin(k), -1.0 + 0.05 * k, 2.0 - 0.03 * k)
+            for k in range(n)]
+
+
+# the default budget, and one small enough to split observations and points
+# into many blocks
+BLOCK_BUDGETS = [density._BLOCK_ELEMENTS, 2 ** 11]
+
+
+@pytest.mark.parametrize("budget", BLOCK_BUDGETS)
+def test_one_transform_matches_two_outer_products_on_rainfall(budget, monkeypatch):
+    from symmix import fit
+    monkeypatch.setattr(density, "_BLOCK_ELEMENTS", budget)
+    sample = Sample(read_numeric_csv(rainfall_path()))
+    theta = fit(sample).theta_hat
+    b = default_bandwidth(sample.n)
+    xs = default_grid(sample, theta, b)
+    for points in (xs, xs - theta.alpha):
+        got = deconvolved_density_values(sample, theta, b, points)
+        assert np.max(np.abs(got - _reference_values(sample, theta, b, points))) <= 1e-12
+
+
+@pytest.mark.parametrize("budget", BLOCK_BUDGETS)
+def test_leave_one_out_matches_per_observation_loop_with_distinct_thetas(budget, monkeypatch):
+    monkeypatch.setattr(density, "_BLOCK_ELEMENTS", budget)
+    sample = gauss_sample(15, rep=7)
+    thetas = _distinct_thetas(sample.n)
+    b = default_bandwidth(sample.n)
+    xs = np.linspace(-5.0, 5.0, 64)
+    got = deconvolved_density_values(sample, THETA0, b, xs, loo_thetas=thetas)
+    assert np.max(np.abs(got - _reference_values(sample, THETA0, b, xs, thetas))) <= 1e-12
+    # the comparison sees which observation carries which parameter
+    swapped = _reference_values(sample, THETA0, b, xs, thetas[::-1])
+    assert np.max(np.abs(got - swapped)) > 1e-6
+
+
+@pytest.mark.parametrize("offset", [1e4, 1e6])
+def test_translation_equivariance_with_same_u_grid(offset, monkeypatch):
+    # data and locations on a 2^-20 lattice, so adding the offset is exact
+    # and only the deconvolution itself can break the equivariance
+    def lattice(v):
+        return np.round(np.asarray(v) * 2.0 ** 20) / 2.0 ** 20
+
+    x = lattice(gauss_sample(200, rep=9).values)
+    b = default_bandwidth(x.size)
+    xs = np.linspace(-6.0, 6.0, 97)
+    thetas = [EuclideanParam(th.p, lattice(th.alpha), lattice(th.beta))
+              for th in _distinct_thetas(x.size)]
+    nodes = []
+    u_grid = density._u_grid
+
+    def counting_u_grid(*args):
+        grid = u_grid(*args)
+        nodes.append(grid[0].size)
+        return grid
+
+    monkeypatch.setattr(density, "_u_grid", counting_u_grid)
+
+    def shifted(th, c):
+        return EuclideanParam(th.p, th.alpha + c, th.beta + c)
+
+    for loo in (None, thetas):
+        base = deconvolved_density_values(Sample(x), THETA0, b, xs, loo_thetas=loo)
+        moved = deconvolved_density_values(
+            Sample(x + offset), shifted(THETA0, offset), b, xs,
+            loo_thetas=None if loo is None else [shifted(th, offset) for th in loo])
+        assert np.max(np.abs(moved - base)) <= 1e-9 * np.max(np.abs(base))
+    assert nodes[0] == nodes[1] and nodes[2] == nodes[3]
+
+
+def test_density_memory_is_bounded_at_large_n():
+    import tracemalloc
+
+    sample = gauss_sample(20_000, rep=10)
+    b = default_bandwidth(sample.n)
+    xs = default_grid(sample, THETA0, b)
+    calls = [lambda: deconvolved_density_values(sample, THETA0, b, xs),
+             lambda: deconvolved_density_values(sample, THETA0, b, xs,
+                                                loo_thetas=[THETA0] * sample.n),
+             lambda: estimate_g(sample, DensityConfig(bandwidth=b), xs=xs)]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from symmix import (ContrastConfig, DegenerateFit, EuclideanParam, FitConfig,
-                    SampleTooSmall, Sample, ScenarioSpec, asymptotic_covariance,
-                    build_weight_rule, default_contrast_config, fit, initial_points,
-                    leave_one_out_thetas, sample_mixture)
+                    SampleTooSmall, Sample, ScenarioSpec, SingularInformation,
+                    asymptotic_covariance, build_weight_rule, default_contrast_config,
+                    fit, initial_points, leave_one_out_thetas, sample_mixture)
 
 THETA0 = EuclideanParam(0.25, -1.0, 2.0)
 
@@ -179,6 +179,20 @@ def test_covariance_memory_stays_below_one_score_matrix():
     # half of one node-by-observation float array
     assert peak < 0.5 * ev.u.size * sample.n * 8 and peak < 10 * 2 ** 20
     assert form == "sandwich" and np.all(np.isfinite(cov))
+
+
+def test_ill_conditioned_information_falls_back_or_raises():
+    from types import SimpleNamespace
+
+    from symmix.estimator import _covariance_with_fallback, _sandwich
+
+    info = np.diag([1.0, 1.0, 1e-14])
+    ev = SimpleNamespace(information_and_score=lambda theta: (info, np.eye(3)))
+    cov, form = _covariance_with_fallback(ev, THETA0)
+    assert form == "sandwich-pinv"
+    assert np.array_equal(cov, np.diag([1.0, 1.0, 0.0]))
+    with pytest.raises(SingularInformation, match="1e\\+14 exceeds 1e12"):
+        _sandwich(ev, THETA0, fallback=False)
 
 
 def test_large_sample_within_four_plugin_ses():

@@ -1,9 +1,10 @@
 """Command-line front door: fit, density, simulate, scan.
 
-Exit codes: 0 success, 2 malformed input, 3 degenerate fit, 4 density
-pathology.  All machine outputs embed a deterministic run manifest
-(execution details like timestamps and worker counts stay out of it, so
-reruns and different --jobs settings produce byte-identical files).
+Exit codes: 0 success, 2 malformed input file or invalid flag value, 3
+degenerate fit, 4 density pathology.  All machine outputs embed a
+deterministic run manifest (execution details like timestamps and worker
+counts stay out of it, so reruns and different --jobs settings produce
+byte-identical files).
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import __version__
-from .contrast import ContrastConfig, ContrastEvaluator, default_trunc_h
+from .contrast import ContrastConfig, default_trunc_h
 from .density import DensityConfig, deconvolved_density_values, default_bandwidth, \
     estimate_density, estimate_g
 from .errors import DegenerateFit, DegenerateParam, EmptyPositivePart, SampleTooSmall, \
@@ -28,32 +29,20 @@ from .params import EuclideanParam, Sample
 from .simulate import MCSummary, ScenarioSpec, run_scenario
 from .weights import build_weight_rule, scale_aware_cutoff
 
-__all__ = ["main", "RunManifest", "read_numeric_csv", "rainfall_path"]
+__all__ = ["main", "read_numeric_csv", "rainfall_path"]
 
 
 class CliInputError(SymmixError):
     """Malformed command-line input or data file."""
 
 
-@dataclass
-class RunManifest:
-    subcommand: str
-    input_path: str | None
-    input_sha256: str | None
-    config: dict
-    seed: int | None
-    version: str
-
-    def core_dict(self) -> dict:
-        """Deterministic portion embedded in outputs; excludes timing and worker count."""
-        return {
-            "subcommand": self.subcommand,
-            "input_path": self.input_path,
-            "input_sha256": self.input_sha256,
-            "config": self.config,
-            "seed": self.seed,
-            "version": self.version,
-        }
+@contextmanager
+def _user_input():
+    """Report the ValueError of an object built from flag values or data as bad input."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CliInputError(str(exc)) from exc
 
 
 def rainfall_path() -> str:
@@ -133,43 +122,58 @@ def read_numeric_csv(path: str) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def _load_sample(path: str, min_n: int = 10) -> Sample:
-    values = read_numeric_csv(path)
-    if values.size < min_n:
-        raise CliInputError(f"{path}: need at least {min_n} observations, got {values.size}")
-    return Sample(values)
+def _load(args) -> tuple[Sample, ContrastConfig]:
+    """The sample in args.csv_path and the contrast configuration its flags select."""
+    values = read_numeric_csv(args.csv_path)
+    if values.size < 10:
+        raise CliInputError(f"{args.csv_path}: need at least 10 observations, got {values.size}")
+    sample = Sample(values)
+    with _user_input():
+        scale = robust_scale(sample.values)     # rejects constant data, --cutoff or not
+        cutoff = args.cutoff if args.cutoff is not None else scale_aware_cutoff(scale)
+        rule = build_weight_rule("laplace_default", args.weight_nodes, cutoff)
+        trunc_h = args.trunc_h if args.trunc_h is not None else \
+            default_trunc_h(sample.n, cutoff=cutoff)
+        return sample, ContrastConfig(rule, trunc_h)
 
 
-def _contrast_config_from_args(sample: Sample, args) -> ContrastConfig:
-    nodes = args.weight_nodes
-    if args.cutoff is not None:
-        cutoff = args.cutoff
-    else:
-        cutoff = scale_aware_cutoff(robust_scale(sample.values))
-    rule = build_weight_rule("laplace_default", nodes, cutoff)
-    trunc_h = args.trunc_h if args.trunc_h is not None else default_trunc_h(sample.n, cutoff=cutoff)
-    return ContrastConfig(rule, trunc_h)
+def _fit_config(args) -> FitConfig:
+    with _user_input():
+        return FitConfig(starts=args.starts)
 
 
-def _config_echo(args, sample: Sample, ccfg: ContrastConfig, extra: dict | None = None) -> dict:
-    cfg = {
-        "weight_nodes": ccfg.weight_rule.node_count,
-        "cutoff": ccfg.weight_rule.cutoff,
-        "trunc_h": ccfg.trunc_h,
-        "starts": args.starts,
-        "n": sample.n,
-    }
-    if extra:
-        cfg.update(extra)
-    return cfg
+def _config_echo(args, sample: Sample, ccfg: ContrastConfig, **extra) -> dict:
+    return {"weight_nodes": ccfg.weight_rule.node_count, "cutoff": ccfg.weight_rule.cutoff,
+            "trunc_h": ccfg.trunc_h, "starts": args.starts, "n": sample.n, **extra}
 
 
-def _emit(text: str, out: str | None):
+def _manifest(subcommand: str, config: dict, path: str | None = None,
+              seed: int | None = None) -> dict:
+    """Deterministic run manifest: configuration echo, input checksum, seed and version."""
+    return {"subcommand": subcommand, "input_path": path,
+            "input_sha256": None if path is None else _sha256(path),
+            "config": config, "seed": seed, "version": __version__}
+
+
+def _dump(obj: dict) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _write(path: str, text: str):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _emit(out: str | None, text: str, meta: dict | None = None):
+    """Main text to `out` or stdout; the JSON sidecar `meta` to `out`.meta.json or stderr."""
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(out, text)
+        if meta is not None:
+            _write(out + ".meta.json", _dump(meta))
     else:
         sys.stdout.write(text)
+        if meta is not None:
+            sys.stderr.write(_dump(meta))
 
 
 def _parse_theta(text: str) -> EuclideanParam:
@@ -199,30 +203,29 @@ def _parse_triple(text: str, flag: str) -> tuple[float, float, int]:
     return lo, hi, count
 
 
+def _theta_dict(theta: EuclideanParam) -> dict:
+    return {"p": theta.p, "alpha": theta.alpha, "beta": theta.beta}
+
+
 def cmd_fit(args) -> int:
-    sample = _load_sample(args.csv_path)
-    ccfg = _contrast_config_from_args(sample, args)
-    result = fit(sample, FitConfig(starts=args.starts), ccfg)
-    manifest = RunManifest(
-        subcommand="fit", input_path=args.csv_path, input_sha256=_sha256(args.csv_path),
-        config=_config_echo(args, sample, ccfg), seed=None,
-        version=__version__)
-    payload = result.to_dict()
-    payload["manifest"] = {**payload["manifest"], **manifest.core_dict()}
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    sample, ccfg = _load(args)
+    payload = fit(sample, _fit_config(args), ccfg).to_dict()
+    payload["manifest"] = {**payload["manifest"],
+                           **_manifest("fit", _config_echo(args, sample, ccfg), args.csv_path)}
+    _emit(args.out, _dump(payload))
     return 0
 
 
 def cmd_density(args) -> int:
-    sample = _load_sample(args.csv_path)
-    ccfg = _contrast_config_from_args(sample, args)
+    sample, ccfg = _load(args)
+    bandwidth = args.bandwidth if args.bandwidth is not None else default_bandwidth(sample.n)
+    grid = _parse_triple(args.grid, "--grid") if args.grid is not None else None
+    with _user_input():
+        dcfg = DensityConfig(bandwidth=bandwidth, grid=grid)
     if args.theta is not None:
         theta = _parse_theta(args.theta)
     else:
-        theta = fit(sample, FitConfig(starts=args.starts), ccfg).theta_hat
-    bandwidth = args.bandwidth if args.bandwidth is not None else default_bandwidth(sample.n)
-    grid = _parse_triple(args.grid, "--grid") if args.grid is not None else None
-    dcfg = DensityConfig(bandwidth=bandwidth, grid=grid)
+        theta = fit(sample, _fit_config(args), ccfg).theta_hat
     curve = estimate_density(sample, theta, dcfg)
     g_curve = estimate_g(sample, dcfg, xs=curve.xs)
     # reconstruction column evaluates f at the shifted points exactly, so the
@@ -231,29 +234,15 @@ def cmd_density(args) -> int:
     fb = deconvolved_density_values(sample, theta, bandwidth, curve.xs - theta.beta)
     recon = theta.p * fa + (1.0 - theta.p) * fb
 
-    manifest = RunManifest(
-        subcommand="density", input_path=args.csv_path, input_sha256=_sha256(args.csv_path),
-        config=_config_echo(args, sample, ccfg, {
-            "bandwidth": bandwidth,
-            "grid": list(grid) if grid else None,
-            "theta": {"p": theta.p, "alpha": theta.alpha, "beta": theta.beta},
-        }),
-        seed=None, version=__version__)
-
     lines = ["x,f_raw,f_tilde,g_n,g_reconstructed"]
     for i in range(curve.xs.size):
         lines.append(",".join(repr(float(v)) for v in
                               (curve.xs[i], curve.f_raw[i], curve.f_tilde[i],
                                g_curve.values[i], recon[i])))
-    _emit("\n".join(lines) + "\n", args.out)
-
-    meta = {**curve.metadata(), "manifest": manifest.core_dict()}
-    meta_text = json.dumps(meta, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out + ".meta.json", "w", encoding="utf-8") as fh:
-            fh.write(meta_text)
-    else:
-        sys.stderr.write(meta_text)
+    config = _config_echo(args, sample, ccfg, bandwidth=bandwidth,
+                          grid=list(grid) if grid else None, theta=_theta_dict(theta))
+    _emit(args.out, "\n".join(lines) + "\n",
+          {**curve.metadata(), "manifest": _manifest("density", config, args.csv_path)})
     return 0
 
 
@@ -271,66 +260,45 @@ def _summary_csv(summary: MCSummary) -> str:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        theta0 = _parse_theta(args.theta0)
+    theta0 = _parse_theta(args.theta0)
+    with _user_input():
         spec = ScenarioSpec(family=args.family, theta0=theta0, n=args.n,
                             replications=args.M, seed=args.seed,
                             mix_lambda=args.mix_lambda)
-    except (ValueError, DegenerateParam) as exc:
-        raise CliInputError(str(exc)) from exc
-    summary = run_scenario(spec, FitConfig(starts=args.starts), None, jobs=args.jobs)
-    manifest = RunManifest(
-        subcommand="simulate", input_path=None, input_sha256=None,
-        config={"family": spec.family, "n": spec.n, "M": spec.replications,
-                "theta0": [spec.theta0.p, spec.theta0.alpha, spec.theta0.beta],
-                "mix_lambda": spec.mix_lambda, "starts": args.starts},
-        seed=spec.seed, version=__version__)
-
+    summary = run_scenario(spec, _fit_config(args), None, jobs=args.jobs)
     csv_text = _summary_csv(summary)
-    archive = {"manifest": manifest.core_dict(), "summary": summary.to_dict()}
-    archive_text = json.dumps(archive, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out + ".csv", "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-        with open(args.out + ".json", "w", encoding="utf-8") as fh:
-            fh.write(archive_text)
-    else:
+    if not args.out:
         sys.stdout.write(csv_text)
+        return 0
+    config = {"family": spec.family, "n": spec.n, "M": spec.replications,
+              "theta0": [spec.theta0.p, spec.theta0.alpha, spec.theta0.beta],
+              "mix_lambda": spec.mix_lambda, "starts": args.starts}
+    _write(args.out + ".csv", csv_text)
+    _write(args.out + ".json", _dump({"manifest": _manifest("simulate", config, seed=spec.seed),
+                                      "summary": summary.to_dict()}))
     return 0
 
 
 def cmd_scan(args) -> int:
-    sample = _load_sample(args.csv_path)
-    ccfg = _contrast_config_from_args(sample, args)
-    result = fit(sample, FitConfig(starts=args.starts), ccfg)
-    theta = result.theta_hat
+    sample, ccfg = _load(args)
     lo, hi, steps = _parse_triple(args.range, "--range")
-    values = np.linspace(lo, hi, steps)
-    ev = ContrastEvaluator(sample, ccfg)
-    ev_obj = _smoothed_evaluator(sample, ccfg)
+    theta = fit(sample, _fit_config(args), ccfg).theta_hat
+    # the fit's own objective evaluator, so the row at theta_hat repeats the
+    # fit's contrast and objective
+    ev = _smoothed_evaluator(sample, ccfg)
 
     lines = [f"{args.param},contrast,objective"]
-    for v in values:
-        fields = {"p": theta.p, "alpha": theta.alpha, "beta": theta.beta}
-        fields[args.param] = float(v)
+    for v in np.linspace(lo, hi, steps):
         try:
-            th = EuclideanParam(fields["p"], fields["alpha"], fields["beta"])
+            th = EuclideanParam(**{**_theta_dict(theta), args.param: float(v)})
         except DegenerateParam:
             lines.append(f"{float(v)!r},,")
             continue
-        lines.append(f"{float(v)!r},{float(ev.u_statistic(th))!r},{float(ev_obj.plugin(th))!r}")
+        lines.append(f"{float(v)!r},{ev.u_statistic(th)!r},{ev.plugin(th)!r}")
 
-    manifest = RunManifest(
-        subcommand="scan", input_path=args.csv_path, input_sha256=_sha256(args.csv_path),
-        config=_config_echo(args, sample, ccfg, {
-            "param": args.param, "range": [lo, hi, steps],
-            "theta_hat": {"p": theta.p, "alpha": theta.alpha, "beta": theta.beta}}),
-        seed=None, version=__version__)
-    text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    if args.out:
-        with open(args.out + ".meta.json", "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"manifest": manifest.core_dict()}, sort_keys=True, indent=2))
+    config = _config_echo(args, sample, ccfg, param=args.param, range=[lo, hi, steps],
+                          theta_hat=_theta_dict(theta))
+    _emit(args.out, "\n".join(lines) + "\n", {"manifest": _manifest("scan", config, args.csv_path)})
     return 0
 
 
@@ -356,31 +324,32 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     default_seed = _env_seed()
 
-    def common(p, with_input=True):
+    def fitting(p, with_input=True):
         if with_input:
             p.add_argument("csv_path", help="CSV file with one numeric column")
-        p.add_argument("--weight-nodes", type=int, default=256)
-        p.add_argument("--cutoff", type=float, default=None,
-                       help="frequency cutoff (default: scale-aware)")
-        p.add_argument("--trunc-h", type=float, default=None,
-                       help="Fourier truncation h (default: n-rule)")
+            p.add_argument("--weight-nodes", type=int, default=256)
+            p.add_argument("--cutoff", type=float, default=None,
+                           help="frequency cutoff (default: scale-aware)")
+            p.add_argument("--trunc-h", type=float, default=None,
+                           help="Fourier truncation h (default: n-rule)")
         p.add_argument("--starts", type=int, default=8)
-        p.add_argument("--seed", type=int, default=default_seed)
         p.add_argument("--out", default=None)
 
     p_fit = sub.add_parser("fit", help="estimate (p, alpha, beta)")
-    common(p_fit)
+    fitting(p_fit)
     p_fit.set_defaults(func=cmd_fit)
 
     p_den = sub.add_parser("density", help="deconvolve the component density")
-    common(p_den)
+    fitting(p_den)
     p_den.add_argument("--bandwidth", type=float, default=None)
     p_den.add_argument("--grid", default=None, help="lo:hi:points")
     p_den.add_argument("--theta", default=None, help="p,alpha,beta (skip fitting)")
     p_den.set_defaults(func=cmd_density)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo study of the estimator")
-    common(p_sim, with_input=False)
+    fitting(p_sim, with_input=False)
+    p_sim.add_argument("--seed", type=int, default=default_seed,
+                       help="replication seed (default: SYMMIX_SEED, else 0)")
     p_sim.add_argument("--family", required=True,
                        choices=["gauss", "cauchy", "laplace", "asym_gauss_mix"])
     p_sim.add_argument("--theta0", required=True, help="p,alpha,beta")
@@ -391,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_scan = sub.add_parser("scan", help="profile the contrast along one coordinate")
-    common(p_scan)
+    fitting(p_scan)
     p_scan.add_argument("--param", required=True, choices=["p", "alpha", "beta"])
     p_scan.add_argument("--range", required=True, help="lo:hi:steps")
     p_scan.set_defaults(func=cmd_scan)
@@ -402,7 +371,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (CliInputError, SampleTooSmall, ValueError) as exc:
+    except (CliInputError, SampleTooSmall) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DegenerateFit, DegenerateParam) as exc:

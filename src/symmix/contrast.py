@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import BadCharacteristicFunction, BadSmoothness, SampleTooSmall
 from .params import EuclideanParam, Sample, m_func
-from .weights import WeightRule, build_weight_rule
+from .weights import WeightRule
 
 __all__ = [
     "ContrastConfig",
@@ -72,11 +72,6 @@ class ContrastConfig:
     def __post_init__(self):
         if not self.trunc_h > 0.0:
             raise ValueError("trunc_h must be positive")
-
-    @classmethod
-    def default(cls, n: int, node_count: int = 256, cutoff: float = 30.0) -> "ContrastConfig":
-        rule = build_weight_rule("laplace_default", node_count, cutoff)
-        return cls(rule, default_trunc_h(n, cutoff=cutoff))
 
 
 def default_trunc_h(n: int, beta_assumed: float = 1.0, cutoff: float = 30.0) -> float:

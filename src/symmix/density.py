@@ -62,14 +62,11 @@ _BLOCK_ELEMENTS = 2 ** 19
 
 @dataclass(frozen=True)
 class DensityConfig:
-    kernel: str = "gauss"
     bandwidth: float = 1.0
     grid: tuple | None = None            # (x_min, x_max, points); None = data-driven default
     theta_mode: str = "full_sample"      # or "leave_one_out"
 
     def __post_init__(self):
-        if self.kernel != "gauss":
-            raise ValueError("only the Gaussian kernel is supported")
         if not self.bandwidth > 0.0:
             raise ValueError("bandwidth must be positive")
         if self.grid is not None:

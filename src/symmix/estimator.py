@@ -98,17 +98,16 @@ def robust_scale(values) -> float:
     return float(s)
 
 
-def default_contrast_config(sample: Sample, node_count: int = 256,
-                            cutoff_cap: float = 30.0) -> ContrastConfig:
+def default_contrast_config(sample: Sample) -> ContrastConfig:
     """Default weight rule and truncation for fitting a given sample.
 
     The exponential weight keeps its unit frequency scale; the cutoff adapts
     to the data's dispersion (six standardized frequency units, capped) so
     the integration window tracks where the empirical characteristic
-    function carries signal rather than noise.
+    function carries signal rather than noise.  The rule has 256 nodes.
     """
-    cutoff = scale_aware_cutoff(robust_scale(sample.values), cap=cutoff_cap)
-    rule = build_weight_rule("laplace_default", node_count, cutoff)
+    cutoff = scale_aware_cutoff(robust_scale(sample.values))
+    rule = build_weight_rule("laplace_default", 256, cutoff)
     return ContrastConfig(rule, default_trunc_h(sample.n, cutoff=cutoff))
 
 
@@ -247,21 +246,22 @@ def fit(sample: Sample, cfg: FitConfig | None = None,
 
 
 def asymptotic_covariance(sample: Sample, theta_hat: EuclideanParam,
-                          ccfg: ContrastConfig, form: str = "sandwich",
-                          smoothed: bool = True) -> np.ndarray:
+                          ccfg: ContrastConfig, form: str = "sandwich") -> np.ndarray:
     """Plug-in asymptotic covariance of sqrt(n) (theta_hat - theta).
 
     form "sandwich" returns I^{-1} V I^{-1} (the expansion-consistent shape);
-    form "stated" returns I^{-1} V I for comparison.  With smoothed=True the
-    curvature and score integrals use the same smoothed weights the fit
-    objective used.  Standard errors of theta_hat are sqrt(diag / n).
+    form "stated" returns I^{-1} V I for comparison.  The curvature and score
+    integrals use the smoothed weights of the fit objective, as the fit's own
+    covariance does, but an ill-conditioned information matrix raises
+    SingularInformation instead of falling back to pinv.  Standard errors of
+    theta_hat are sqrt(diag / n).
     """
     if sample.n < 10:
         raise SampleTooSmall("covariance plug-in needs n >= 10")
     if form not in ("sandwich", "stated"):
         raise ValueError(f"unknown form {form!r}")
-    ev = _smoothed_evaluator(sample, ccfg) if smoothed else ContrastEvaluator(sample, ccfg)
-    return _sandwich(ev, theta_hat, fallback=False, stated=form == "stated")[0]
+    return _sandwich(_smoothed_evaluator(sample, ccfg), theta_hat,
+                     fallback=False, stated=form == "stated")[0]
 
 
 def _sandwich(ev: ContrastEvaluator, theta: EuclideanParam, fallback: bool,

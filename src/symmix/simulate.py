@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .contrast import ContrastConfig
-from .errors import DegenerateFit, SymmixError
+from .errors import SymmixError
 from .estimator import FitConfig, default_contrast_config, fit
 from .params import EuclideanParam, Sample
 
@@ -153,7 +153,7 @@ def _one_replication(args):
             "converged": bool(res.converged),
             "std_errors": [float(s) for s in res.std_errors],
         })
-    except (DegenerateFit, SymmixError) as exc:
+    except SymmixError as exc:
         digest.update({"converged": False, "error": f"{type(exc).__name__}: {exc}"})
     return digest
 

@@ -99,10 +99,14 @@ def test_fit_output_deterministic(rainfall, capsys):
     assert out1 == out2
 
 
-def test_fit_seed_flag_does_not_change_output(rainfall, capsys):
-    _, out1, _ = run_cli(["fit", rainfall, "--seed", "1"], capsys)
-    _, out2, _ = run_cli(["fit", rainfall, "--seed", "99"], capsys)
-    assert out1 == out2
+@pytest.mark.parametrize("argv", [["fit"], ["density"], ["scan", "--param", "beta",
+                                                          "--range", "30:40:1"]],
+                         ids=["fit", "density", "scan"])
+def test_seed_flag_rejected_outside_simulate(rainfall, argv):
+    # only simulate draws random numbers, so only simulate takes --seed
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], rainfall, *argv[1:], "--seed", "1"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
@@ -190,6 +194,16 @@ def test_simulate_jobs_byte_identical(tmp_path, capsys):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+def test_simulate_seed_flag_and_variable(capsys, monkeypatch):
+    base = ["simulate", "--family", "gauss", "--theta0", "0.25,-1,2", "--n", "60", "--M", "2"]
+    _, seeded, _ = run_cli(base + ["--seed", "5"], capsys)
+    _, other, _ = run_cli(base + ["--seed", "6"], capsys)
+    monkeypatch.setenv("SYMMIX_SEED", "5")
+    _, from_env, _ = run_cli(base, capsys)
+    assert seeded == from_env
+    assert seeded != other
+
+
 def test_simulate_invalid_spec(capsys):
     code, _, err = run_cli(["simulate", "--family", "gauss", "--theta0", "0.5,0,1",
                             "--n", "60", "--M", "2"], capsys)
@@ -221,6 +235,68 @@ def test_scan_minimum_near_fit(rainfall, capsys):
     objective = np.array([float(r[2]) for r in rows])
     arg = vals[np.argmin(objective)]
     assert abs(arg - beta_hat) <= (hi - lo) / (steps - 1) + 1e-12
+
+
+def test_scan_row_at_fit_repeats_fit_statistics(rainfall, capsys):
+    _, fit_out, _ = run_cli(["fit", rainfall], capsys)
+    payload = json.loads(fit_out)
+    beta_hat = payload["theta_hat"]["beta"]
+    code, out, _ = run_cli(["scan", rainfall, "--param", "beta",
+                            "--range", f"{beta_hat!r}:{beta_hat!r}:1"], capsys)
+    assert code == 0
+    row = out.strip().splitlines()[1].split(",")
+    assert row == [repr(beta_hat), repr(payload["contrast"]), repr(payload["objective"])]
+
+
+def test_scan_manifest_to_stderr_or_sidecar(rainfall, tmp_path, capsys):
+    args = ["scan", rainfall, "--param", "p", "--range", "0.1:0.3:3"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 0
+    assert json.loads(err)["manifest"]["subcommand"] == "scan"
+    out_path = tmp_path / "scan.csv"
+    code, _, _ = run_cli(args + ["--out", str(out_path)], capsys)
+    assert code == 0
+    assert out_path.read_text() == out
+    sidecar = (tmp_path / "scan.csv.meta.json").read_text()
+    assert sidecar == err
+    assert sidecar.endswith("}\n")
+
+
+# -------------------------------------------------------------- input errors
+
+SIM = ["simulate", "--family", "gauss", "--theta0", "0.25,-1,2", "--n", "60", "--M", "2"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "RAIN", "--starts", "0"], "starts must be >= 1"),
+    (SIM + ["--starts", "0"], "starts must be >= 1"),
+    (["fit", "RAIN", "--weight-nodes", "15"], "node_count must be an even integer >= 16"),
+    (["fit", "RAIN", "--cutoff", "-1"], "cutoff must be positive"),
+    (["fit", "RAIN", "--trunc-h", "0"], "trunc_h must be positive"),
+    (["density", "RAIN", "--bandwidth", "-1"], "bandwidth must be positive"),
+    (["density", "RAIN", "--grid", "0:1:8"], "grid needs at least 16 points"),
+    (["fit", "CONST"], "sample has zero dispersion"),
+    (["fit", "CONST", "--cutoff", "5"], "sample has zero dispersion"),
+], ids=["fit-starts", "simulate-starts", "weight-nodes", "cutoff", "trunc-h", "bandwidth",
+        "grid", "constant", "constant-cutoff"])
+def test_invalid_flag_values_exit_2(rainfall, tmp_path, capsys, argv, message):
+    const = tmp_path / "const.csv"
+    const.write_text("5.0\n" * 12)
+    argv = [{"RAIN": rainfall, "CONST": str(const)}.get(a, a) for a in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert out == ""
+
+
+def test_library_value_error_is_not_input_error(rainfall, monkeypatch):
+    # a ValueError from inside the library is a bug, not exit 2
+    def broken(*args, **kwargs):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr("symmix.cli.fit", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        main(["fit", rainfall])
 
 
 def test_cli_entry_point_runs():

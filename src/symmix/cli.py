@@ -24,7 +24,7 @@ from .density import DensityConfig, deconvolved_density_values, default_bandwidt
     estimate_density, estimate_g
 from .errors import DegenerateFit, DegenerateParam, EmptyPositivePart, SampleTooSmall, \
     SymmixError
-from .estimator import FitConfig, _smoothed_evaluator, fit, robust_scale
+from .estimator import FitConfig, _centred, _shift, _smoothed_evaluator, fit, robust_scale
 from .params import EuclideanParam, Sample
 from .simulate import MCSummary, ScenarioSpec, run_scenario
 from .weights import build_weight_rule, scale_aware_cutoff
@@ -259,13 +259,27 @@ def _summary_csv(summary: MCSummary) -> str:
     return head + "\n" + row + "\n"
 
 
+def _env_seed() -> int:
+    """Seed fallback from SYMMIX_SEED: unset or empty means 0, else a nonnegative integer."""
+    text = os.environ.get("SYMMIX_SEED")
+    if not text:
+        return 0
+    try:
+        seed = int(text)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise CliInputError(f"SYMMIX_SEED must be a nonnegative integer, got {text!r}")
+
+
 def cmd_simulate(args) -> int:
     theta0 = _parse_theta(args.theta0)
+    seed = args.seed if args.seed is not None else _env_seed()
     with _user_input():
         spec = ScenarioSpec(family=args.family, theta0=theta0, n=args.n,
-                            replications=args.M, seed=args.seed,
-                            mix_lambda=args.mix_lambda)
-    summary = run_scenario(spec, _fit_config(args), None, jobs=args.jobs)
+                            replications=args.M, seed=seed, mix_lambda=args.mix_lambda)
+    summary = run_scenario(spec, _fit_config(args), jobs=args.jobs)
     csv_text = _summary_csv(summary)
     if not args.out:
         sys.stdout.write(csv_text)
@@ -283,14 +297,15 @@ def cmd_scan(args) -> int:
     sample, ccfg = _load(args)
     lo, hi, steps = _parse_triple(args.range, "--range")
     theta = fit(sample, _fit_config(args), ccfg).theta_hat
-    # the fit's own objective evaluator, so the row at theta_hat repeats the
-    # fit's contrast and objective
-    ev = _smoothed_evaluator(sample, ccfg)
+    # the fit's own objective evaluator in the fit's frame, so the row at
+    # theta_hat repeats the fit's contrast and objective
+    centred, m = _centred(sample)
+    ev = _smoothed_evaluator(centred, ccfg)
 
     lines = [f"{args.param},contrast,objective"]
     for v in np.linspace(lo, hi, steps):
         try:
-            th = EuclideanParam(**{**_theta_dict(theta), args.param: float(v)})
+            th = _shift(EuclideanParam(**{**_theta_dict(theta), args.param: float(v)}), -m)
         except DegenerateParam:
             lines.append(f"{float(v)!r},,")
             continue
@@ -302,27 +317,12 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _env_seed() -> int:
-    """Seed fallback from SYMMIX_SEED: unset or empty means 0, else a nonnegative integer."""
-    text = os.environ.get("SYMMIX_SEED")
-    if not text:
-        return 0
-    try:
-        seed = int(text)
-        if seed >= 0:
-            return seed
-    except ValueError:
-        pass
-    raise CliInputError(f"SYMMIX_SEED must be a nonnegative integer, got {text!r}")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symmix",
         description="Two-component symmetric-location mixture estimation "
                     "via Fourier-domain contrast minimization")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    default_seed = _env_seed()
 
     def fitting(p, with_input=True):
         if with_input:
@@ -348,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo study of the estimator")
     fitting(p_sim, with_input=False)
-    p_sim.add_argument("--seed", type=int, default=default_seed,
+    p_sim.add_argument("--seed", type=int, default=None,
                        help="replication seed (default: SYMMIX_SEED, else 0)")
     p_sim.add_argument("--family", required=True,
                        choices=["gauss", "cauchy", "laplace", "asym_gauss_mix"])

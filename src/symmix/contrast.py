@@ -25,9 +25,16 @@ Two empirical criteria are built from it on a weight rule W truncated to
 
 Both factorize over observations: with v_k = Im psi_k,
 sum_{j != k} v_j v_k = (sum_k v_k)^2 - sum_k v_k^2, so one evaluation costs
-O(Q) after an O(nQ) per-sample precompute (Q = active nodes, with +-u
+O(Q) after one O(nQ) pass over the sample (Q = active nodes, with +-u
 folded onto |u|; see ContrastEvaluator).  All arithmetic is real; reality
 of the statistics is structural, not numerical.
+
+Every statistic here, and the score outer product of the sandwich, is
+linear or quadratic in the features (cos uX_k, sin uX_k) on the nodes, so
+the sample enters only through their node sums and their 2Q x 2Q Gram
+matrix.  That is all the evaluator keeps: its memory does not grow with n,
+and is O(Q^2) in the rule's node count (512 KiB at the default 256 nodes,
+128 MiB at 4096).
 
 Values, gradients and the sandwich covariance pieces all come from one
 derivative block (1/M, Mdot/M^2) on the nodes: V_n is the weighted sum of
@@ -60,6 +67,15 @@ __all__ = [
     "j_func",
     "m_dot",
 ]
+
+# entries of one block of an observation-by-node or point-by-node matrix
+_BLOCK_ELEMENTS = 2 ** 19
+
+
+def _blocks(count: int, width: int):
+    """Slices covering range(count), max(1, _BLOCK_ELEMENTS // width) long each."""
+    step = max(1, _BLOCK_ELEMENTS // max(width, 1))
+    return [slice(i, i + step) for i in range(0, count, step)]
 
 
 @dataclass(frozen=True)
@@ -127,10 +143,12 @@ class ContrastEvaluator:
 
     weight_factor, if given, multiplies the rule weights node-wise (used by
     the estimator to fold characteristic-function smoothing into the
-    objective).  The precompute keeps the per-observation Re/Im matrices of
-    e^{iuX_k} and their O(Q) sums; every method is built by broadcasting
-    from one derivative block (1/M, Mdot/M^2) of shape (Q,) and (3, Q) and
-    the sum sum_k Im(z e^{iuX_k}) = Im z * S_re + Re z * S_im.  In
+    objective).  One pass over blocks of observations keeps the node sums
+    S_re, S_im of the features v_k = (cos uX_k, sin uX_k) and their Gram
+    matrix G = sum_k v_k v_k^T, of shape (2Q, 2Q), and nothing of size n; the
+    pair statistic's diagonal sums are diagonals of G.  Every method is
+    built by broadcasting from one derivative block (1/M, Mdot/M^2) of shape
+    (Q,) and (3, Q) and the sum sum_k Im(z e^{iuX_k}) = Im z * S_re + Re z * S_im.  In
     least-squares form the plug-in objective is V_n = r^T W r with residual
     r = sum_k Im(e^{iuX_k}/M)/n and Jacobian J = -sum_k Im(e^{iuX_k} Mdot/M^2)/n;
     the sandwich pieces of `information_and_score` come from the same J.
@@ -154,14 +172,19 @@ class ContrastEvaluator:
         self.u, inv = np.unique(np.abs(rule.nodes[mask]), return_inverse=True)
         self.w = np.bincount(inv, weights=w)
         self.n = sample.n
-        ph = np.exp(1j * np.outer(self.u, sample.values))
-        self._re = np.ascontiguousarray(ph.real)
-        self._im = np.ascontiguousarray(ph.imag)
-        self._s_re = self._re.sum(axis=1)
-        self._s_im = self._im.sum(axis=1)
-        self._q_rr = np.einsum("qk,qk->q", self._re, self._re)
-        self._q_ii = np.einsum("qk,qk->q", self._im, self._im)
-        self._q_ri = np.einsum("qk,qk->q", self._re, self._im)
+        q = self.u.size
+        sums = gram = 0.0        # the first block's arrays replace these
+        for blk in _blocks(sample.n, 2 * q):
+            arg = np.outer(self.u, sample.values[blk])
+            v = np.empty((2 * q, arg.shape[1]))         # rows cos(uX_k), then sin(uX_k)
+            np.cos(arg, out=v[:q])
+            np.sin(arg, out=v[q:])
+            sums += v.sum(axis=1)
+            gram += v @ v.T
+        self._s_re, self._s_im = sums[:q], sums[q:]
+        self._gram = gram
+        self._q_rr, self._q_ii = gram.diagonal()[:q], gram.diagonal()[q:]
+        self._q_ri = gram.diagonal(q)
 
     def _inv_m(self, theta: EuclideanParam) -> np.ndarray:
         return 1.0 / m_func(theta, self.u)
@@ -194,7 +217,7 @@ class ContrastEvaluator:
     def plugin(self, theta: EuclideanParam) -> float:
         """Plug-in statistic V_n(theta) = int Im(ghat*/M)^2 dW >= 0."""
         r = self._sums(self._inv_m(theta)) / self.n
-        return float(np.dot(self.w, r * r))
+        return float(np.dot(r, self.w * r))
 
     def u_statistic_gradient(self, theta: EuclideanParam) -> np.ndarray:
         """Gradient of S_n in (p, alpha, beta), from the closed-form Z-gradient."""
@@ -213,16 +236,18 @@ class ContrastEvaluator:
     def information_and_score(self, theta: EuclideanParam):
         """Sandwich pieces (info, v_hat) of the plug-in contrast at theta, each (3, 3).
 
-        info = 2 J W J^T is the contrast's Gauss-Newton curvature; v_hat =
-        U U^T / (4n) with U_k = -4 J W Im(e^{iuX_k}/M) the per-observation
-        score, formed from the stored Re/Im matrices without a Q x n temporary.
+        info = 2 J W J^T is the contrast's Gauss-Newton curvature.  The
+        per-observation score U_k = -4 J W Im(e^{iuX_k}/M) is C v_k up to the
+        factor -4, with C = [J W Im(1/M), J W Re(1/M)] of shape (3, 2Q), so
+        v_hat = sum_k U_k U_k^T / (4n) = 4 C G C^T / n reads only the Gram
+        matrix G.
         """
         inv, c = self._block(theta)
         jac = -self._sums(c) / self.n
         jw = jac * self.w
         info = 2.0 * jw @ jac.T
-        score = -4.0 * ((jw * inv.imag) @ self._re + (jw * inv.real) @ self._im)
-        return info, score @ score.T / (4.0 * self.n)
+        cm = np.concatenate([jw * inv.imag, jw * inv.real], axis=1)
+        return info, 4.0 * cm @ self._gram @ cm.T / self.n
 
 
 def empirical_contrast(sample: Sample, theta: EuclideanParam, cfg: ContrastConfig) -> float:

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .contrast import _blocks
 from .errors import BadSmoothness, EmptyPositivePart
 from .params import EuclideanParam, Sample
 
@@ -56,8 +57,6 @@ __all__ = [
 _TAIL_EPS = 1e-12
 _MIN_U_NODES = 512
 _MAX_U_NODES = 16384
-# entries of one block of an observation-by-node or point-by-node matrix
-_BLOCK_ELEMENTS = 2 ** 19
 
 
 @dataclass(frozen=True)
@@ -145,12 +144,6 @@ def _u_grid(bandwidth: float, max_phase_arg: float) -> tuple[np.ndarray, float]:
     du_target = 2.0 * math.pi / (16.0 * max(max_phase_arg, 1.0))
     count = int(min(_MAX_U_NODES, max(_MIN_U_NODES, math.ceil(u_max / du_target) + 1)))
     return np.linspace(0.0, u_max, count), u_max
-
-
-def _blocks(count: int, width: int):
-    """Slices covering range(count), max(1, _BLOCK_ELEMENTS // width) long each."""
-    step = max(1, _BLOCK_ELEMENTS // max(width, 1))
-    return [slice(i, i + step) for i in range(0, count, step)]
 
 
 def deconvolved_density_values(sample: Sample, theta: EuclideanParam,

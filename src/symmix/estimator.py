@@ -14,12 +14,15 @@ directly, with p held in the box and the analytic gradient of the plug-in
 contrast.  Candidates that collapse onto the box edge in p or merge the two
 locations are set aside as degenerate; the smallest objective among the
 remaining candidates wins.  Leave-one-out refits run the same descent from
-the full-sample estimate.
+the full-sample estimate.  Every fit statistic is computed on the sample
+centred at its median, which changes nothing in exact arithmetic (see
+`_centred`) and makes the estimate translation-equivariant in floating
+point.
 
 The plug-in sandwich covariance I^{-1} V I^{-1} takes both pieces from
 `ContrastEvaluator.information_and_score` on the same smoothed evaluator:
 I = 2 J W J^T from the contrast's Jacobian and V from the per-observation
-scores, with no node-by-observation score matrix.
+scores, formed from the evaluator's Gram matrix without reading the data.
 """
 
 from __future__ import annotations
@@ -143,6 +146,25 @@ def _smoothing_factor(cfg: ContrastConfig, n: int, scale: float) -> np.ndarray:
     return np.exp(-(b * cfg.weight_rule.nodes) ** 2)
 
 
+def _centred(sample: Sample) -> tuple[Sample, float]:
+    """The sample minus its median m, and m: the frame the fit is computed in.
+
+    e^{iuX}/M(theta, u) is unchanged when the data and both locations move
+    together, so every statistic at theta equals the centred sample's at
+    theta - m.  Computed there, the phases uX stay of the order of the
+    data's spread rather than of |m|, and the estimate is
+    translation-equivariant in floating point.  The scale is left alone:
+    the weight rule is not scale-equivariant.
+    """
+    m = float(np.median(sample.values))
+    return Sample(sample.values - m), m
+
+
+def _shift(theta: EuclideanParam, c: float) -> EuclideanParam:
+    """theta with both locations moved by c."""
+    return EuclideanParam(theta.p, theta.alpha + c, theta.beta + c)
+
+
 def _smoothed_evaluator(sample: Sample, ccfg: ContrastConfig,
                         scale: float | None = None) -> ContrastEvaluator:
     """Evaluator of the fit objective: rule weights times the smoothing factor."""
@@ -165,9 +187,11 @@ def fit(sample: Sample, cfg: FitConfig | None = None,
         ccfg: ContrastConfig | None = None) -> FitResult:
     """Estimate (p, alpha, beta) from a sample of the mixture.
 
-    Each start of `initial_points` runs one bounded descent (at most
-    cfg.max_iter L-BFGS-B iterations); the result is `converged` unless the
-    winning start hit that limit.
+    The fit runs on the sample centred at its median m and adds m back to
+    the locations.  Each start of `initial_points` runs one bounded descent
+    (at most cfg.max_iter L-BFGS-B iterations); the result is `converged`
+    unless the winning start hit that limit.  The reported statistics are
+    those of the reported estimate.
 
     Raises SampleTooSmall below 10 observations and DegenerateFit when every
     optimization path collapses to the p-boundary or merges the locations
@@ -177,13 +201,14 @@ def fit(sample: Sample, cfg: FitConfig | None = None,
     if sample.n < 10:
         raise SampleTooSmall(f"fit needs n >= 10, got {sample.n}")
     cfg = cfg or FitConfig()
-    ccfg = ccfg or default_contrast_config(sample)
+    centred, m = _centred(sample)
+    ccfg = ccfg or default_contrast_config(centred)
     box = cfg.box
-    scale = robust_scale(sample.values)
-    ev = _smoothed_evaluator(sample, ccfg, scale)
+    scale = robust_scale(centred.values)
+    ev = _smoothed_evaluator(centred, ccfg, scale)
 
     candidates = []
-    for start in initial_points(sample, cfg):
+    for start in initial_points(centred, cfg):
         res = _descend(ev, start, cfg)
         p, a, b = (float(v) for v in res.x)
         pinned = p <= box.p_low + 1e-3 * (box.p_high - box.p_low) \
@@ -206,7 +231,9 @@ def fit(sample: Sample, cfg: FitConfig | None = None,
     # smallest objective wins; ties broken by canonical lexicographic order
     valid.sort(key=lambda c: (c["objective"], c["theta"]))
     best = valid[0]
-    theta_hat = canonicalize(best["theta"], box)
+    theta_hat = _shift(canonicalize(best["theta"], box), m)
+    # the reported estimate back in the fit's frame, as `symmix scan` maps it
+    at = _shift(theta_hat, -m)
 
     agree = 0
     ref = np.array(best["theta"])
@@ -215,7 +242,7 @@ def fit(sample: Sample, cfg: FitConfig | None = None,
         if np.max(np.abs(np.array(c["theta"]) - ref)) <= tol_agree:
             agree += 1
 
-    cov, sigma_form = _covariance_with_fallback(ev, theta_hat)
+    cov, sigma_form = _covariance_with_fallback(ev, at)
     std_errors = np.sqrt(np.maximum(np.diag(cov), 0.0) / sample.n)
 
     manifest = {
@@ -235,8 +262,8 @@ def fit(sample: Sample, cfg: FitConfig | None = None,
     }
     return FitResult(
         theta_hat=theta_hat,
-        contrast_at_opt=ev.u_statistic(theta_hat),
-        objective_at_opt=best["objective"],
+        contrast_at_opt=ev.u_statistic(at),
+        objective_at_opt=ev.plugin(at),
         covariance=cov,
         std_errors=std_errors,
         converged=best["converged"],
@@ -260,7 +287,8 @@ def asymptotic_covariance(sample: Sample, theta_hat: EuclideanParam,
         raise SampleTooSmall("covariance plug-in needs n >= 10")
     if form not in ("sandwich", "stated"):
         raise ValueError(f"unknown form {form!r}")
-    return _sandwich(_smoothed_evaluator(sample, ccfg), theta_hat,
+    centred, m = _centred(sample)
+    return _sandwich(_smoothed_evaluator(centred, ccfg), _shift(theta_hat, -m),
                      fallback=False, stated=form == "stated")[0]
 
 
@@ -295,15 +323,20 @@ def _covariance_with_fallback(ev: ContrastEvaluator, theta: EuclideanParam):
 def leave_one_out_thetas(sample: Sample, theta_hat: EuclideanParam,
                          cfg: FitConfig | None = None,
                          ccfg: ContrastConfig | None = None) -> list[EuclideanParam]:
-    """Exact leave-one-out refits, warm-started at the full-sample estimate."""
+    """Exact leave-one-out refits, warm-started at the full-sample estimate.
+
+    Every refit runs in the full sample's centred frame (see `fit`).
+    """
     cfg = cfg or FitConfig()
-    ccfg = ccfg or default_contrast_config(sample)
+    centred, m = _centred(sample)
+    ccfg = ccfg or default_contrast_config(centred)
+    start = _shift(theta_hat, -m)
     out = []
     for k in range(sample.n):
-        ev = _smoothed_evaluator(Sample(np.delete(sample.values, k)), ccfg)
-        p, a, b = (float(v) for v in _descend(ev, theta_hat, cfg).x)
+        ev = _smoothed_evaluator(Sample(np.delete(centred.values, k)), ccfg)
+        p, a, b = (float(v) for v in _descend(ev, start, cfg).x)
         if abs(a - b) < cfg.box.sep_min:
             out.append(theta_hat)
         else:
-            out.append(EuclideanParam(p, a, b))
+            out.append(EuclideanParam(p, a + m, b + m))
     return out

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .contrast import ContrastConfig
 from .errors import SymmixError
-from .estimator import FitConfig, default_contrast_config, fit
+from .estimator import FitConfig, fit
 from .params import EuclideanParam, Sample
 
 __all__ = [
@@ -142,11 +141,11 @@ def sample_mixture(spec: ScenarioSpec, replication_index: int) -> Sample:
 
 
 def _one_replication(args):
-    spec, fit_cfg, contrast_cfg, r = args
+    spec, fit_cfg, r = args
     sample = sample_mixture(spec, r)
     digest = {"replication": r}
     try:
-        res = fit(sample, fit_cfg, contrast_cfg or default_contrast_config(sample))
+        res = fit(sample, fit_cfg)
         digest.update({
             "p": res.theta_hat.p, "alpha": res.theta_hat.alpha, "beta": res.theta_hat.beta,
             "contrast": res.contrast_at_opt, "objective": res.objective_at_opt,
@@ -159,7 +158,6 @@ def _one_replication(args):
 
 
 def run_scenario(spec: ScenarioSpec, fit_cfg: FitConfig | None = None,
-                 contrast_cfg: ContrastConfig | None = None,
                  jobs: int = 1) -> MCSummary:
     """Fit every replication and summarize the converged estimates.
 
@@ -167,7 +165,7 @@ def run_scenario(spec: ScenarioSpec, fit_cfg: FitConfig | None = None,
     the summary is byte-identical across jobs settings.
     """
     fit_cfg = fit_cfg or FitConfig()
-    tasks = [(spec, fit_cfg, contrast_cfg, r) for r in range(spec.replications)]
+    tasks = [(spec, fit_cfg, r) for r in range(spec.replications)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             digests = list(pool.map(_one_replication, tasks, chunksize=1))

@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 _NODES_PER_PANEL = 8
+# scale_aware_cutoff: standardized frequency units covered, and the cap
+_CUTOFF_UNITS = 6.0
+_CUTOFF_CAP = 30.0
 
 
 def laplace_density(u) -> np.ndarray:
@@ -161,13 +164,13 @@ def build_weight_rule(density_id: str = "laplace_default",
     return WeightRule("laplace_default", node_count, float(cutoff), nodes, weights)
 
 
-def scale_aware_cutoff(scale: float, units: float = 6.0, cap: float = 30.0) -> float:
-    """Frequency cutoff covering `units` standardized frequency units.
+def scale_aware_cutoff(scale: float) -> float:
+    """Frequency cutoff covering six standardized frequency units, capped at 30.
 
     For data of dispersion `scale` the informative band of the empirical
-    characteristic function ends around a few multiples of 1/scale; `units`
-    of them gives the integration window, capped at the default support cap.
+    characteristic function ends around a few multiples of 1/scale; six of
+    them give the integration window, capped at the default support cap.
     """
     if not scale > 0.0:
         raise ValueError("scale must be positive")
-    return float(min(cap, units / scale))
+    return float(min(_CUTOFF_CAP, _CUTOFF_UNITS / scale))

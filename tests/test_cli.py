@@ -109,15 +109,6 @@ def test_seed_flag_rejected_outside_simulate(rainfall, argv):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
-def test_invalid_seed_variable_rejected(rainfall, capsys, monkeypatch, value):
-    monkeypatch.setenv("SYMMIX_SEED", value)
-    code, out, err = run_cli(["fit", rainfall], capsys)
-    assert code == 2
-    assert "SYMMIX_SEED" in err
-    assert out == ""
-
-
 # -------------------------------------------------------------------- density
 
 
@@ -202,6 +193,26 @@ def test_simulate_seed_flag_and_variable(capsys, monkeypatch):
     _, from_env, _ = run_cli(base, capsys)
     assert seeded == from_env
     assert seeded != other
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
+def test_invalid_seed_variable_rejected(capsys, monkeypatch, value):
+    # without --seed, simulate falls back to SYMMIX_SEED and rejects a bad one
+    monkeypatch.setenv("SYMMIX_SEED", value)
+    code, out, err = run_cli(["simulate", "--family", "gauss", "--theta0", "0.25,-1,2",
+                              "--n", "60", "--M", "1"], capsys)
+    assert code == 2
+    assert "SYMMIX_SEED" in err
+    assert out == ""
+
+
+def test_seed_variable_read_only_as_simulate_fallback(rainfall, capsys, monkeypatch):
+    monkeypatch.setenv("SYMMIX_SEED", "abc")
+    code, out, _ = run_cli(["fit", rainfall], capsys)
+    assert code == 0 and "theta_hat" in json.loads(out)
+    code, out, _ = run_cli(["simulate", "--family", "gauss", "--theta0", "0.25,-1,2",
+                            "--n", "60", "--M", "1", "--seed", "5"], capsys)
+    assert code == 0 and out.startswith("family,")
 
 
 def test_simulate_invalid_spec(capsys):

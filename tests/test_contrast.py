@@ -8,6 +8,7 @@ from symmix import (BadCharacteristicFunction, BadSmoothness, ContrastConfig,
                     build_weight_rule, contrast_gradient, default_trunc_h,
                     empirical_contrast, j_func, m_func, oracle_contrast,
                     plugin_contrast, z_score, z_score_gradient)
+from symmix import contrast
 from symmix.contrast import m_dot
 from symmix.simulate import replication_rng
 
@@ -287,13 +288,24 @@ def _asymmetric_table():
     return build_weight_rule("user_table", table=(nodes, weights))
 
 
-@pytest.mark.parametrize("rule", [RULE, _asymmetric_table()], ids=["default", "asymmetric"])
-def test_folded_nodes_equal_full_node_evaluation(rule):
+DEFAULT_BUDGET = contrast._BLOCK_ELEMENTS
+
+
+# (rule, n, block budget); the last splits the observations over many blocks
+@pytest.mark.parametrize("rule, n, budget", [
+    (RULE, 40, DEFAULT_BUDGET),
+    (_asymmetric_table(), 40, DEFAULT_BUDGET),
+    (RULE, 1000, 2 ** 14),
+], ids=["default", "asymmetric", "default-blocked"])
+def test_folded_nodes_equal_full_node_evaluation(rule, n, budget, monkeypatch):
+    monkeypatch.setattr(contrast, "_BLOCK_ELEMENTS", budget)
     cfg = ContrastConfig(rule, trunc_h=1.0 / 30.0)
     factor = 1.0 + 0.3 * np.tanh(rule.nodes)       # not even in u either
-    sample = gauss_sample(40)
+    sample = gauss_sample(n)
     theta = EuclideanParam(0.3, -0.5, 1.7)
     ev = ContrastEvaluator(sample, cfg, weight_factor=factor)
+    if budget < DEFAULT_BUDGET:     # the evaluator reads (2Q, block) feature matrices
+        assert len(contrast._blocks(n, 2 * ev.u.size)) >= 3
     assert np.all(ev.u >= 0.0) and np.all(np.diff(ev.u) > 0.0)
     assert ev.u.size == np.unique(np.abs(rule.nodes)).size < rule.nodes.size
 
@@ -323,3 +335,14 @@ def test_folded_nodes_equal_full_node_evaluation(rule):
     assert close(ev.u_statistic_gradient(theta), pair_grad)
     got_info, got_v_hat = ev.information_and_score(theta)
     assert close(got_info, info) and close(got_v_hat, v_hat)
+
+
+def test_evaluator_state_does_not_grow_with_n():
+    # node sums and the Gram matrix of (cos uX_k, sin uX_k): nothing of size n
+    def kept(n):
+        ev = ContrastEvaluator(gauss_sample(n), CFG)
+        return sum(getattr(v, "nbytes", 0) for v in vars(ev).values())
+
+    small = kept(1_000)
+    assert small == kept(100_000)
+    assert small < 4 * (2 * 128) ** 2 * 8

@@ -7,7 +7,7 @@ from symmix import (BadSmoothness, DensityConfig, EmptyPositivePart, EuclideanPa
                     Sample, ScenarioSpec, default_bandwidth, default_grid,
                     deconvolved_density_values, estimate_density, estimate_g,
                     leave_one_out_thetas, reconstruct_mixture, sample_mixture)
-from symmix import density
+from symmix import contrast, density
 from symmix.cli import rainfall_path, read_numeric_csv
 from symmix.params import m_modulus_sq
 
@@ -220,15 +220,15 @@ def _distinct_thetas(n):
             for k in range(n)]
 
 
-# the default budget, and one small enough to split observations and points
-# into many blocks
-BLOCK_BUDGETS = [density._BLOCK_ELEMENTS, 2 ** 11]
+# the default budget of the shared blocking rule, and one small enough to
+# split observations and points into many blocks
+BLOCK_BUDGETS = [contrast._BLOCK_ELEMENTS, 2 ** 11]
 
 
 @pytest.mark.parametrize("budget", BLOCK_BUDGETS)
 def test_one_transform_matches_two_outer_products_on_rainfall(budget, monkeypatch):
     from symmix import fit
-    monkeypatch.setattr(density, "_BLOCK_ELEMENTS", budget)
+    monkeypatch.setattr(contrast, "_BLOCK_ELEMENTS", budget)
     sample = Sample(read_numeric_csv(rainfall_path()))
     theta = fit(sample).theta_hat
     b = default_bandwidth(sample.n)
@@ -240,7 +240,7 @@ def test_one_transform_matches_two_outer_products_on_rainfall(budget, monkeypatc
 
 @pytest.mark.parametrize("budget", BLOCK_BUDGETS)
 def test_leave_one_out_matches_per_observation_loop_with_distinct_thetas(budget, monkeypatch):
-    monkeypatch.setattr(density, "_BLOCK_ELEMENTS", budget)
+    monkeypatch.setattr(contrast, "_BLOCK_ELEMENTS", budget)
     sample = gauss_sample(15, rep=7)
     thetas = _distinct_thetas(sample.n)
     b = default_bandwidth(sample.n)

@@ -78,6 +78,22 @@ def test_fit_translation_equivariance():
     assert res_shift.theta_hat.beta == pytest.approx(res.theta_hat.beta + c, abs=1e-6)
 
 
+@pytest.mark.parametrize("offset, step", [(1e4, 2.0 ** -20), (1e6, 2.0 ** -20),
+                                          (1e9, 2.0 ** -20), (1e12, 2.0 ** -12)],
+                         ids=["1e4", "1e6", "1e9", "1e12"])
+def test_fit_translation_exact_on_lattice(offset, step):
+    # on the lattice X + offset and its median are exact, so the centred
+    # sample, and with it the centred fit, repeats bit for bit
+    x = np.round(gauss_sample(200, seed=7).values / step) * step
+    reference = fit(Sample(x - np.median(x))).theta_hat
+    shifted = Sample(x + offset)
+    m = float(np.median(shifted.values))
+    centred = fit(Sample(shifted.values - m)).theta_hat
+    assert centred == reference
+    theta = fit(shifted).theta_hat
+    assert theta == EuclideanParam(centred.p, centred.alpha + m, centred.beta + m)
+
+
 def test_fit_deterministic():
     sample = gauss_sample(120, rep=2)
     a = fit(sample)
@@ -124,6 +140,26 @@ def test_fit_search_evaluation_budget(monkeypatch):
                             lambda ev, theta, inner=inner: calls.append(theta) or inner(ev, theta))
     fit(gauss_sample(100, seed=7))
     assert 0 < len(calls) <= 400
+
+
+def test_plugin_repeats_fit_objective():
+    # plugin and the descent's value are one expression, and fit reports the
+    # statistics of its estimate in its own frame, so scan's objective column
+    # repeats fit's objective to the last digit
+    from symmix.estimator import _centred, _shift, _smoothed_evaluator
+
+    for family, theta0 in [("gauss", THETA0), ("cauchy", EuclideanParam(0.2, 1.0, 5.0)),
+                           ("laplace", THETA0)]:
+        spec = ScenarioSpec(family, theta0, 100, 1, 7)
+        for r in range(15):
+            sample = sample_mixture(spec, r)
+            res = fit(sample)
+            centred, m = _centred(sample)
+            ev = _smoothed_evaluator(centred, default_contrast_config(centred))
+            theta = _shift(res.theta_hat, -m)
+            value = ev.plugin(theta)
+            assert repr(value) == repr(ev.plugin_value_gradient(theta)[0])
+            assert repr(value) == repr(res.objective_at_opt)
 
 
 def test_fit_unconverged_at_iteration_limit():
@@ -179,6 +215,21 @@ def test_covariance_memory_stays_below_one_score_matrix():
     # half of one node-by-observation float array
     assert peak < 0.5 * ev.u.size * sample.n * 8 and peak < 10 * 2 ** 20
     assert form == "sandwich" and np.all(np.isfinite(cov))
+
+
+def test_fit_memory_does_not_grow_with_n():
+    import tracemalloc
+
+    sample = gauss_sample(200_000, rep=3)
+    tracemalloc.start()
+    try:
+        res = fit(sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one node-by-observation float array alone would take 195 MiB
+    assert peak < 32 * 2 ** 20
+    assert np.all(np.abs(res.theta_hat.as_array() - THETA0.as_array()) < 0.05)
 
 
 def test_ill_conditioned_information_falls_back_or_raises():

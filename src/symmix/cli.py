@@ -129,7 +129,9 @@ def _load(args) -> tuple[Sample, ContrastConfig]:
         raise CliInputError(f"{args.csv_path}: need at least 10 observations, got {values.size}")
     sample = Sample(values)
     with _user_input():
-        scale = robust_scale(sample.values)     # rejects constant data, --cutoff or not
+        # the fit's frame and scale, as in default_contrast_config; rejects
+        # constant data, --cutoff or not
+        scale = robust_scale(_centred(sample)[0].values)
         cutoff = args.cutoff if args.cutoff is not None else scale_aware_cutoff(scale)
         rule = build_weight_rule("laplace_default", args.weight_nodes, cutoff)
         trunc_h = args.trunc_h if args.trunc_h is not None else \

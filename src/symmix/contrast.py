@@ -90,6 +90,11 @@ class ContrastConfig:
             raise ValueError("trunc_h must be positive")
 
 
+def _window(cfg: ContrastConfig) -> np.ndarray:
+    """Mask of the rule's nodes inside the truncation window |u| <= 1/trunc_h."""
+    return np.abs(cfg.weight_rule.nodes) <= (1.0 / cfg.trunc_h) * (1.0 + 1e-12)
+
+
 def default_trunc_h(n: int, beta_assumed: float = 1.0, cutoff: float = 30.0) -> float:
     """Truncation parameter h = n^{-1/2} / log n, kept so that 1/h <= cutoff.
 
@@ -146,12 +151,14 @@ class ContrastEvaluator:
     objective).  One pass over blocks of observations keeps the node sums
     S_re, S_im of the features v_k = (cos uX_k, sin uX_k) and their Gram
     matrix G = sum_k v_k v_k^T, of shape (2Q, 2Q), and nothing of size n; the
-    pair statistic's diagonal sums are diagonals of G.  Every method is
-    built by broadcasting from one derivative block (1/M, Mdot/M^2) of shape
-    (Q,) and (3, Q) and the sum sum_k Im(z e^{iuX_k}) = Im z * S_re + Re z * S_im.  In
-    least-squares form the plug-in objective is V_n = r^T W r with residual
-    r = sum_k Im(e^{iuX_k}/M)/n and Jacobian J = -sum_k Im(e^{iuX_k} Mdot/M^2)/n;
-    the sandwich pieces of `information_and_score` come from the same J.
+    pair statistic's diagonal sums are diagonals of G.  Every method starts
+    from the one helper `_block`, which returns the derivative block
+    (1/M, Mdot/M^2) of shape (Q,) and (3, Q) and its node sums
+    sum_k Im(z e^{iuX_k}) = Im z * S_re + Re z * S_im; `plugin` is the value
+    of `plugin_value_gradient`.  In least-squares form the plug-in objective
+    is V_n = r^T W r with residual r = sum_k Im(e^{iuX_k}/M)/n and Jacobian
+    J = -sum_k Im(e^{iuX_k} Mdot/M^2)/n; the sandwich pieces of
+    `information_and_score` come from the same J.
 
     The active nodes are folded onto |u|: M(-u) = conj M(u) makes
     v_k(-u) = -v_k(u) and its gradient odd too, so every integrand here is
@@ -165,7 +172,7 @@ class ContrastEvaluator:
         if sample.n < 2:
             raise SampleTooSmall("contrast needs at least two observations")
         rule = cfg.weight_rule
-        mask = np.abs(rule.nodes) <= (1.0 / cfg.trunc_h) * (1.0 + 1e-12)
+        mask = _window(cfg)
         w = rule.weights[mask]
         if weight_factor is not None:
             w = w * np.asarray(weight_factor, dtype=float)[mask]
@@ -186,17 +193,19 @@ class ContrastEvaluator:
         self._q_rr, self._q_ii = gram.diagonal()[:q], gram.diagonal()[q:]
         self._q_ri = gram.diagonal(q)
 
-    def _inv_m(self, theta: EuclideanParam) -> np.ndarray:
-        return 1.0 / m_func(theta, self.u)
-
     def _block(self, theta: EuclideanParam):
-        """Derivative block (1/M, Mdot/M^2) on the nodes, shapes (Q,) and (3, Q)."""
+        """Derivative block (1/M, Mdot/M^2) on the nodes and its node sums.
+
+        Returns inv = 1/M and c = Mdot/M^2, of shapes (Q,) and (3, Q), with
+        s_inv = sum_k Im(inv e^{iuX_k}) and s_c = sum_k Im(c e^{iuX_k}) of the
+        same shapes.
+        """
         iu = 1j * self.u
         ea, eb = np.exp(iu * theta.alpha), np.exp(iu * theta.beta)
         inv = 1.0 / (theta.p * ea + (1.0 - theta.p) * eb)
         # m_dot's formula on the phases already computed for 1/M
-        mdot = np.stack([ea - eb, iu * theta.p * ea, iu * (1.0 - theta.p) * eb])
-        return inv, mdot * (inv * inv)
+        c = np.stack([ea - eb, iu * theta.p * ea, iu * (1.0 - theta.p) * eb]) * (inv * inv)
+        return inv, c, self._sums(inv), self._sums(c)
 
     def _sums(self, z: np.ndarray) -> np.ndarray:
         """sum_k Im(z e^{iuX_k}) node-wise, for z of shape (Q,) or (3, Q)."""
@@ -209,27 +218,25 @@ class ContrastEvaluator:
 
     def u_statistic(self, theta: EuclideanParam) -> float:
         """Diagonal-removed pair statistic S_n(theta)."""
-        inv = self._inv_m(theta)
-        s1 = self._sums(inv)
+        inv, _, s_inv, _ = self._block(theta)
         n = self.n
-        return float(np.dot(self.w, s1 * s1 - self._squares(inv, inv)) / (n * (n - 1)))
+        return float(np.dot(self.w, s_inv * s_inv - self._squares(inv, inv)) / (n * (n - 1)))
 
     def plugin(self, theta: EuclideanParam) -> float:
         """Plug-in statistic V_n(theta) = int Im(ghat*/M)^2 dW >= 0."""
-        r = self._sums(self._inv_m(theta)) / self.n
-        return float(np.dot(r, self.w * r))
+        return self.plugin_value_gradient(theta)[0]
 
     def u_statistic_gradient(self, theta: EuclideanParam) -> np.ndarray:
         """Gradient of S_n in (p, alpha, beta), from the closed-form Z-gradient."""
-        inv, c = self._block(theta)
+        inv, c, s_inv, s_c = self._block(theta)
         n = self.n
-        dv = self._sums(inv) * self._sums(c) - self._squares(inv, c)
+        dv = s_inv * s_c - self._squares(inv, c)
         return -2.0 * (dv @ self.w) / (n * (n - 1))
 
     def plugin_value_gradient(self, theta: EuclideanParam):
         """Plug-in statistic r^T W r and its gradient 2 J W r in (p, alpha, beta)."""
-        inv, c = self._block(theta)
-        r, jac = self._sums(inv) / self.n, -self._sums(c) / self.n
+        _, _, s_inv, s_c = self._block(theta)
+        r, jac = s_inv / self.n, -s_c / self.n
         wr = self.w * r
         return float(np.dot(r, wr)), 2.0 * jac @ wr
 
@@ -242,8 +249,8 @@ class ContrastEvaluator:
         v_hat = sum_k U_k U_k^T / (4n) = 4 C G C^T / n reads only the Gram
         matrix G.
         """
-        inv, c = self._block(theta)
-        jac = -self._sums(c) / self.n
+        inv, _, _, s_c = self._block(theta)
+        jac = -s_c / self.n
         jw = jac * self.w
         info = 2.0 * jw @ jac.T
         cm = np.concatenate([jw * inv.imag, jw * inv.real], axis=1)
@@ -274,9 +281,8 @@ def oracle_contrast(gstar, theta: EuclideanParam, cfg: ContrastConfig) -> float:
     g0 = complex(np.asarray(gstar(np.array(0.0))))
     if abs(g0 - 1.0) > 1e-8:
         raise BadCharacteristicFunction(f"g*(0) = {g0}, expected 1")
-    rule = cfg.weight_rule
-    mask = np.abs(rule.nodes) <= (1.0 / cfg.trunc_h) * (1.0 + 1e-12)
-    u = rule.nodes[mask]
-    w = rule.weights[mask]
+    mask = _window(cfg)
+    u = cfg.weight_rule.nodes[mask]
+    w = cfg.weight_rule.weights[mask]
     im_part = np.imag(np.asarray(gstar(u)) / m_func(theta, u))
     return float(np.dot(w, im_part * im_part))

@@ -39,6 +39,7 @@ import numpy as np
 
 from .contrast import _blocks
 from .errors import BadSmoothness, EmptyPositivePart
+from .estimator import _centred, _shift
 from .params import EuclideanParam, Sample
 
 __all__ = [
@@ -121,6 +122,14 @@ def default_bandwidth(n: int, mode: str = "practical", beta_assumed: float = 1.0
     raise ValueError(f"unknown bandwidth mode {mode!r}")
 
 
+def _grid_points(cfg: DensityConfig) -> np.ndarray | None:
+    """The configured grid's points, or None when the grid is data-driven."""
+    if cfg.grid is None:
+        return None
+    x_min, x_max, points = cfg.grid
+    return np.linspace(float(x_min), float(x_max), int(points))
+
+
 def default_grid(sample: Sample, theta: EuclideanParam, bandwidth: float,
                  points: int = 512) -> np.ndarray:
     """Symmetric grid over the component density's own support.
@@ -163,10 +172,10 @@ def deconvolved_density_values(sample: Sample, theta: EuclideanParam,
     xs = np.asarray(xs, dtype=float)
     if loo_thetas is not None and len(loo_thetas) != sample.n:
         raise ValueError("need one leave-one-out parameter per observation")
-    m = float(np.median(sample.values))
-    x_data = sample.values - m
-    alpha, beta = theta.alpha - m, theta.beta - m
-    arg_bound = np.max(np.abs(x_data)) + np.max(np.abs(xs)) + max(abs(alpha), abs(beta))
+    centred, m = _centred(sample)
+    x_data = centred.values
+    at = _shift(theta, -m)
+    arg_bound = np.max(np.abs(x_data)) + np.max(np.abs(xs)) + max(abs(at.alpha), abs(at.beta))
     u, _ = _u_grid(bandwidth, arg_bound)
     trap = np.full(u.size, u[1] - u[0])
     trap[0] *= 0.5
@@ -177,7 +186,7 @@ def deconvolved_density_values(sample: Sample, theta: EuclideanParam,
     if loo_thetas is None:
         for blk in _blocks(sample.n, u.size):
             ratio += np.exp(1j * np.outer(u, x_data[blk])).sum(axis=1)
-        ratio /= theta.p * np.exp(1j * u * alpha) + (1.0 - theta.p) * np.exp(1j * u * beta)
+        ratio /= at.p * np.exp(1j * u * at.alpha) + (1.0 - at.p) * np.exp(1j * u * at.beta)
     else:
         # e^{iuX_k} / M(theta_k, u) = 1 / (p_k e^{iu(alpha_k-X_k)} + (1-p_k) e^{iu(beta_k-X_k)})
         p_k, a_k, b_k = np.array([th.as_array() for th in loo_thetas]).T
@@ -202,17 +211,15 @@ def estimate_density(sample: Sample, theta_hat: EuclideanParam, cfg: DensityConf
     renormalized version; mass_kept is the positive-part integral used as
     the renormalization constant.
     """
-    if cfg.grid is not None:
-        x_min, x_max, points = cfg.grid
-        xs = np.linspace(float(x_min), float(x_max), int(points))
-    else:
+    if (cfg.theta_mode == "leave_one_out") != (loo_thetas is not None):
+        raise ValueError(f"theta_mode {cfg.theta_mode!r}: loo_thetas (see "
+                         "estimator.leave_one_out_thetas) are required in "
+                         "leave_one_out mode and only there")
+    xs = _grid_points(cfg)
+    if xs is None:
         xs = default_grid(sample, theta_hat, cfg.bandwidth)
-    if cfg.theta_mode == "leave_one_out" and loo_thetas is None:
-        raise ValueError("leave_one_out mode requires loo_thetas "
-                         "(see estimator.leave_one_out_thetas)")
-    f_raw = deconvolved_density_values(
-        sample, theta_hat, cfg.bandwidth, xs,
-        loo_thetas=loo_thetas if cfg.theta_mode == "leave_one_out" else None)
+    f_raw = deconvolved_density_values(sample, theta_hat, cfg.bandwidth, xs,
+                                       loo_thetas=loo_thetas)
     positive = np.where(f_raw >= 0.0, f_raw, 0.0)
     mass_kept = float(np.trapezoid(positive, xs))
     if mass_kept <= 0.0:
@@ -224,13 +231,11 @@ def estimate_density(sample: Sample, theta_hat: EuclideanParam, cfg: DensityConf
 def estimate_g(sample: Sample, cfg: DensityConfig, xs=None) -> KernelCurve:
     """Plain Gaussian kernel density estimate of the mixed density."""
     if xs is None:
-        if cfg.grid is not None:
-            x_min, x_max, points = cfg.grid
-            xs = np.linspace(float(x_min), float(x_max), int(points))
-        else:
-            b = cfg.bandwidth
-            xs = np.linspace(float(np.min(sample.values)) - 3.0 * b,
-                             float(np.max(sample.values)) + 3.0 * b, 512)
+        xs = _grid_points(cfg)
+    if xs is None:
+        b = cfg.bandwidth
+        xs = np.linspace(float(np.min(sample.values)) - 3.0 * b,
+                         float(np.max(sample.values)) + 3.0 * b, 512)
     xs = np.asarray(xs, dtype=float)
     vals = np.zeros(xs.size)
     for blk in _blocks(sample.n, xs.size):

@@ -17,7 +17,10 @@ remaining candidates wins.  Leave-one-out refits run the same descent from
 the full-sample estimate.  Every fit statistic is computed on the sample
 centred at its median, which changes nothing in exact arithmetic (see
 `_centred`) and makes the estimate translation-equivariant in floating
-point.
+point.  The default contrast configuration (the weight rule's cutoff and
+the truncation) is computed from the centred sample's scale as well, by
+`fit` and by the command line alike, so `symmix fit` reports the same
+estimate as `fit` on the same data, bit for bit.
 
 The plug-in sandwich covariance I^{-1} V I^{-1} takes both pieces from
 `ContrastEvaluator.information_and_score` on the same smoothed evaluator:
@@ -165,11 +168,9 @@ def _shift(theta: EuclideanParam, c: float) -> EuclideanParam:
     return EuclideanParam(theta.p, theta.alpha + c, theta.beta + c)
 
 
-def _smoothed_evaluator(sample: Sample, ccfg: ContrastConfig,
-                        scale: float | None = None) -> ContrastEvaluator:
+def _smoothed_evaluator(sample: Sample, ccfg: ContrastConfig) -> ContrastEvaluator:
     """Evaluator of the fit objective: rule weights times the smoothing factor."""
-    if scale is None:
-        scale = robust_scale(sample.values)
+    scale = robust_scale(sample.values)
     return ContrastEvaluator(sample, ccfg,
                              weight_factor=_smoothing_factor(ccfg, sample.n, scale))
 
@@ -205,7 +206,7 @@ def fit(sample: Sample, cfg: FitConfig | None = None,
     ccfg = ccfg or default_contrast_config(centred)
     box = cfg.box
     scale = robust_scale(centred.values)
-    ev = _smoothed_evaluator(centred, ccfg, scale)
+    ev = _smoothed_evaluator(centred, ccfg)
 
     candidates = []
     for start in initial_points(centred, cfg):
@@ -338,5 +339,5 @@ def leave_one_out_thetas(sample: Sample, theta_hat: EuclideanParam,
         if abs(a - b) < cfg.box.sep_min:
             out.append(theta_hat)
         else:
-            out.append(EuclideanParam(p, a + m, b + m))
+            out.append(_shift(EuclideanParam(p, a, b), m))
     return out

@@ -146,20 +146,10 @@ def canonicalize(theta_raw, box: ParamBox = DEFAULT_BOX) -> EuclideanParam:
     DegenerateParam for p = 1/2, p outside the box after the swap, or
     locations closer than box.sep_min.
     """
-    if isinstance(theta_raw, EuclideanParam):
-        p, alpha, beta = theta_raw.p, theta_raw.alpha, theta_raw.beta
-    else:
-        p, alpha, beta = (float(v) for v in theta_raw)
-    if not (math.isfinite(p) and math.isfinite(alpha) and math.isfinite(beta)):
-        raise DegenerateParam("non-finite parameter value")
-    if p == 0.5:
-        raise DegenerateParam("p = 1/2 is excluded (mixing operator can vanish)")
-    if not 0.0 < p < 1.0:
-        raise DegenerateParam(f"p must lie in (0,1), got {p}")
-    if p > 0.5:
-        p, alpha, beta = 1.0 - p, beta, alpha
-    if not (box.p_low <= p <= box.p_high):
-        raise DegenerateParam(f"canonical p = {p} outside box [{box.p_low}, {box.p_high}]")
-    if abs(alpha - beta) < box.sep_min:
-        raise DegenerateParam(f"|alpha - beta| = {abs(alpha - beta)} below sep_min = {box.sep_min}")
-    return EuclideanParam(p, alpha, beta)
+    theta = theta_raw if isinstance(theta_raw, EuclideanParam) \
+        else EuclideanParam(*(float(v) for v in theta_raw))
+    if theta.p > 0.5:
+        theta = theta.swapped()
+    if not theta.in_box(box):
+        raise DegenerateParam(f"canonical {theta} outside box {box}")
+    return theta

@@ -89,11 +89,9 @@ def replication_rng(seed: int, replication_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _asym_moments(lam: float):
-    mu1, mu2 = 0.5, -0.5 * lam / (1.0 - lam)
-    mean = lam * mu1 + (1.0 - lam) * mu2
-    var = lam * (mu1 ** 2 + 2.0) + (1.0 - lam) * (mu2 ** 2 + 2.0) - mean ** 2
-    return mean, var
+def _asym_means(lam: float) -> tuple[float, float]:
+    """Means of asym_gauss_mix's two components, weighted lam and 1 - lam; the noise mean is 0."""
+    return 0.5, -0.5 * lam / (1.0 - lam)
 
 
 def sample_noise(family: str, size: int, rng: np.random.Generator,
@@ -109,7 +107,7 @@ def sample_noise(family: str, size: int, rng: np.random.Generator,
     if family == "asym_gauss_mix":
         lam = mix_lambda
         pick = rng.random(size) < lam
-        mu1, mu2 = 0.5, -0.5 * lam / (1.0 - lam)
+        mu1, mu2 = _asym_means(lam)
         return np.where(pick, mu1, mu2) + math.sqrt(2.0) * ndtri(rng.random(size))
     raise ValueError(f"unknown family {family!r}")
 
@@ -125,7 +123,7 @@ def noise_cdf(family: str, x, mix_lambda: float | None = None) -> np.ndarray:
         return np.where(x < 0.0, 0.5 * np.exp(x), 1.0 - 0.5 * np.exp(-x))
     if family == "asym_gauss_mix":
         lam = mix_lambda
-        mu1, mu2 = 0.5, -0.5 * lam / (1.0 - lam)
+        mu1, mu2 = _asym_means(lam)
         s = math.sqrt(2.0)
         return lam * ndtr((x - mu1) / s) + (1.0 - lam) * ndtr((x - mu2) / s)
     raise ValueError(f"unknown family {family!r}")

@@ -58,11 +58,6 @@ class WeightRule:
         self.nodes.flags.writeable = False
         self.weights.flags.writeable = False
 
-    def density(self, u) -> np.ndarray:
-        if self.density_id != "laplace_default":
-            raise BadWeightSpec(f"no closed-form density for rule {self.density_id!r}")
-        return laplace_density(u)
-
     def integrate(self, values) -> float:
         return float(np.dot(self.weights, values))
 

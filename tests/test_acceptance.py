@@ -264,7 +264,7 @@ def test_criterion_8_clt_coverage():
     report(8, "clt-coverage", ok, f"coverage={coverage:.3f} over {used} fits")
 
 
-def test_criterion_9_determinism(tmp_path):
+def test_criterion_9_determinism(tmp_path, checkout_env):
     base = ["simulate", "--family", "gauss", "--theta0", "0.25,-1,2",
             "--n", "80", "--M", "4", "--seed", str(SEED)]
 
@@ -272,7 +272,7 @@ def test_criterion_9_determinism(tmp_path):
         out = tmp_path / tag
         cmd = [sys.executable, "-m", "symmix.cli", *base,
                "--jobs", str(jobs), "--out", str(out)]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=checkout_env)
         assert proc.returncode == 0, proc.stderr
         return (out.with_suffix(".csv").read_bytes(), out.with_suffix(".json").read_bytes())
 

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from symmix import Sample, fit
 from symmix.cli import main, rainfall_path, read_numeric_csv
 from symmix.simulate import replication_rng
 
@@ -310,8 +311,21 @@ def test_library_value_error_is_not_input_error(rainfall, monkeypatch):
         main(["fit", rainfall])
 
 
-def test_cli_entry_point_runs():
+def test_cli_entry_point_runs(checkout_env):
     proc = subprocess.run([sys.executable, "-m", "symmix.cli", "fit", rainfall_path()],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=checkout_env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["theta_hat"]
+
+
+@pytest.mark.parametrize("offset", [1024.0, 2.0 ** 20, 1e6], ids=["1024", "2^20", "1e6"])
+def test_cli_fit_equals_library_fit(rainfall, tmp_path, offset):
+    # the CLI's default contrast configuration comes from the fit's own frame
+    path = tmp_path / "shifted.csv"
+    path.write_text("".join(f"{float(v) + offset!r}\n" for v in read_numeric_csv(rainfall)))
+    out = tmp_path / "fit.json"
+    assert main(["fit", str(path), "--out", str(out)]) == 0
+    cli_theta = json.loads(out.read_text())["theta_hat"]
+    lib_theta = fit(Sample(read_numeric_csv(str(path)))).theta_hat
+    assert [repr(cli_theta[k]) for k in ("p", "alpha", "beta")] == \
+        [repr(lib_theta.p), repr(lib_theta.alpha), repr(lib_theta.beta)]

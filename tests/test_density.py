@@ -138,6 +138,13 @@ def test_leave_one_out_mode():
         estimate_density(sample, theta, cfg)   # loo mode without thetas
 
 
+def test_full_sample_mode_rejects_loo_thetas():
+    sample = gauss_sample(15, rep=7)
+    cfg = DensityConfig(bandwidth=default_bandwidth(15))
+    with pytest.raises(ValueError, match="full_sample"):
+        estimate_density(sample, THETA0, cfg, loo_thetas=[THETA0] * sample.n)
+
+
 def test_leave_one_out_refits_feed_density():
     spec = ScenarioSpec("gauss", THETA0, 40, 1, 5)
     sample = sample_mixture(spec, 0)

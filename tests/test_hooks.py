@@ -1,4 +1,5 @@
-"""Every (module, attribute) that perfbench/run.py hooks must exist.
+"""Every (module, attribute) that perfbench/run.py hooks must exist, and the
+symmix.cli ones must be called by `symmix density`.
 
 The hook list is read with ast rather than by importing run.py, whose import
 sets BLAS thread variables for the whole process.
@@ -7,6 +8,8 @@ sets BLAS thread variables for the whole process.
 import ast
 import importlib
 from pathlib import Path
+
+import symmix.cli
 
 RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
@@ -32,3 +35,23 @@ def test_every_perfbench_hook_target_resolves():
         except AttributeError:
             missing.append(f"{module}.{attr}")
     assert not missing, f"perfbench hook targets missing: {missing}"
+
+
+def test_cli_hook_targets_are_called_by_density(tmp_path, monkeypatch):
+    # a target that still resolves but is no longer called reads 0 in its
+    # per-layer metric without any error
+    calls = {}
+
+    def counted(attr, target):
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return target(*args, **kwargs)
+        return wrapper
+
+    names = [attr for module, attr in hook_targets() if module == "symmix.cli"]
+    for attr in names:
+        calls[attr] = 0
+        monkeypatch.setattr(symmix.cli, attr, counted(attr, getattr(symmix.cli, attr)))
+    out = tmp_path / "curve.csv"
+    assert symmix.cli.main(["density", symmix.cli.rainfall_path(), "--out", str(out)]) == 0
+    assert names and all(calls[attr] >= 1 for attr in names), calls

@@ -40,7 +40,11 @@ Values, gradients and the sandwich covariance pieces all come from one
 derivative block (1/M, Mdot/M^2) on the nodes: V_n is the weighted sum of
 squares r^T W r of the residual r(u) = Im(ghat*(u)/M(theta, u)), its
 gradient is 2 J W r, and `ContrastEvaluator.information_and_score` returns
-the curvature 2 J W J^T and the score outer product for the sandwich.
+the curvature 2 J W J^T and the score outer product for the sandwich.  The
+exact Hessian 2 J W J^T + 2 sum_q w_q r_q grad^2 r_q adds the second
+derivatives of 1/M (`ContrastEvaluator.plugin_hessian`); it is computed
+apart from the value and gradient, in a form that also takes a batch of
+node sums, weights and parameters, which leave-one-out refits use.
 """
 
 from __future__ import annotations
@@ -119,6 +123,58 @@ def m_dot(theta: EuclideanParam, u: np.ndarray) -> np.ndarray:
     return np.stack([ea - eb, 1j * u * theta.p * ea, 1j * u * (1.0 - theta.p) * eb])
 
 
+def _im_sums(z: np.ndarray, s_re: np.ndarray, s_im: np.ndarray) -> np.ndarray:
+    """sum_k Im(z e^{iuX_k}) node-wise, from the node sums of cos uX_k and sin uX_k."""
+    return z.imag * s_re + z.real * s_im
+
+
+def _phases(u: np.ndarray, p, alpha, beta):
+    """e^{iu alpha}, e^{iu beta}, 1/M and Mdot on the nodes u.
+
+    p, alpha and beta are scalars, or arrays of shape (..., 1) holding a
+    batch of parameters; Mdot stacks its (p, alpha, beta) rows on the
+    second-last axis.
+    """
+    iu = 1j * u
+    ea, eb = np.exp(iu * alpha), np.exp(iu * beta)
+    inv = 1.0 / (p * ea + (1.0 - p) * eb)
+    return ea, eb, inv, np.stack([ea - eb, iu * p * ea, iu * (1.0 - p) * eb], axis=-2)
+
+
+def _plugin_gradient_hessian(u, w, s_re, s_im, n, p, alpha, beta):
+    """Gradient and exact Hessian of the plug-in statistic V = r^T W r, batched.
+
+    u has shape (Q,); w, s_re and s_im, of shape (..., Q), are the weights
+    and the node sums of (cos uX_k, sin uX_k) over n observations; p, alpha
+    and beta are scalars or (..., 1).  Returns shapes (..., 3) and (..., 3, 3).
+
+    With r = sum_k Im(e^{iuX_k}/M)/n and J = -sum_k Im(e^{iuX_k} Mdot/M^2)/n,
+    the gradient is 2 J W r and the Hessian 2 J W J^T + 2 sum_q w_q r_q H_q,
+    where H = sum_k Im(e^{iuX_k} (2 Mdot Mdot^T/M^3 - Mddot/M^2))/n.  Mddot
+    has four nonzero entries: d2M/dp dalpha = iu e^{iu alpha}, d2M/dp dbeta =
+    -iu e^{iu beta}, d2M/dalpha^2 = iu Mdot_alpha, d2M/dbeta^2 = iu Mdot_beta.
+    The six distinct entries are reduced one at a time, so the working set
+    stays at a few arrays of shape (..., 3, Q).
+    """
+    ea, eb, inv, mdot = _phases(u, p, alpha, beta)
+    inv2 = inv * inv
+    r = _im_sums(inv, s_re, s_im) / n
+    wr = w * r
+    jac = np.stack([-_im_sums(mdot[..., i, :] * inv2, s_re, s_im) / n for i in range(3)],
+                   axis=-2)
+    # Mddot/M^2 is t times e^{iu alpha}, -e^{iu beta}, Mdot_alpha or Mdot_beta
+    t = 1j * u * inv2
+    mddot = {(0, 1): ea, (0, 2): -eb, (1, 1): mdot[..., 1, :], (2, 2): mdot[..., 2, :]}
+    hess = np.empty(r.shape[:-1] + (3, 3))
+    for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+        d = 2.0 * mdot[..., i, :] * mdot[..., j, :] * inv * inv2
+        if (i, j) in mddot:
+            d -= t * mddot[i, j]
+        hess[..., i, j] = hess[..., j, i] = 2.0 * np.sum(
+            w * jac[..., i, :] * jac[..., j, :] + wr * _im_sums(d, s_re, s_im) / n, axis=-1)
+    return 2.0 * np.sum(jac * wr[..., None, :], axis=-1), hess
+
+
 def z_score(theta: EuclideanParam, u, x) -> np.ndarray:
     """Per-observation score Z(theta, u) = e^{iuX}/M(u) - e^{-iuX}/M(-u); purely imaginary."""
     u = np.asarray(u, dtype=float)
@@ -151,14 +207,16 @@ class ContrastEvaluator:
     objective).  One pass over blocks of observations keeps the node sums
     S_re, S_im of the features v_k = (cos uX_k, sin uX_k) and their Gram
     matrix G = sum_k v_k v_k^T, of shape (2Q, 2Q), and nothing of size n; the
-    pair statistic's diagonal sums are diagonals of G.  Every method starts
-    from the one helper `_block`, which returns the derivative block
-    (1/M, Mdot/M^2) of shape (Q,) and (3, Q) and its node sums
-    sum_k Im(z e^{iuX_k}) = Im z * S_re + Re z * S_im; `plugin` is the value
-    of `plugin_value_gradient`.  In least-squares form the plug-in objective
-    is V_n = r^T W r with residual r = sum_k Im(e^{iuX_k}/M)/n and Jacobian
-    J = -sum_k Im(e^{iuX_k} Mdot/M^2)/n; the sandwich pieces of
-    `information_and_score` come from the same J.
+    pair statistic's diagonal sums are diagonals of G.  Every value,
+    gradient and sandwich piece starts from the one helper `_block`, which
+    returns the derivative block (1/M, Mdot/M^2) of shape (Q,) and (3, Q)
+    and its node sums sum_k Im(z e^{iuX_k}) = Im z * S_re + Re z * S_im;
+    `plugin` is the value of `plugin_value_gradient`.  In least-squares form
+    the plug-in objective is V_n = r^T W r with residual
+    r = sum_k Im(e^{iuX_k}/M)/n and Jacobian J = -sum_k Im(e^{iuX_k} Mdot/M^2)/n;
+    the sandwich pieces of `information_and_score` come from the same J.
+    `plugin_hessian` adds the second-order terms on the same phases, in
+    `_plugin_gradient_hessian`, so the first-order methods never pay for them.
 
     The active nodes are folded onto |u|: M(-u) = conj M(u) makes
     v_k(-u) = -v_k(u) and its gradient odd too, so every integrand here is
@@ -172,12 +230,10 @@ class ContrastEvaluator:
         if sample.n < 2:
             raise SampleTooSmall("contrast needs at least two observations")
         rule = cfg.weight_rule
-        mask = _window(cfg)
-        w = rule.weights[mask]
-        if weight_factor is not None:
-            w = w * np.asarray(weight_factor, dtype=float)[mask]
-        self.u, inv = np.unique(np.abs(rule.nodes[mask]), return_inverse=True)
-        self.w = np.bincount(inv, weights=w)
+        self._mask = _window(cfg)
+        self._rule_w = rule.weights[self._mask]
+        self.u, self._fold = np.unique(np.abs(rule.nodes[self._mask]), return_inverse=True)
+        self.w = self._folded_weights(weight_factor)
         self.n = sample.n
         q = self.u.size
         sums = gram = 0.0        # the first block's arrays replace these
@@ -200,19 +256,25 @@ class ContrastEvaluator:
         s_inv = sum_k Im(inv e^{iuX_k}) and s_c = sum_k Im(c e^{iuX_k}) of the
         same shapes.
         """
-        iu = 1j * self.u
-        ea, eb = np.exp(iu * theta.alpha), np.exp(iu * theta.beta)
-        inv = 1.0 / (theta.p * ea + (1.0 - theta.p) * eb)
-        # m_dot's formula on the phases already computed for 1/M
-        c = np.stack([ea - eb, iu * theta.p * ea, iu * (1.0 - theta.p) * eb]) * (inv * inv)
-        return inv, c, self._sums(inv), self._sums(c)
+        _, _, inv, mdot = _phases(self.u, theta.p, theta.alpha, theta.beta)
+        c = mdot * (inv * inv)
+        return inv, c, _im_sums(inv, self._s_re, self._s_im), _im_sums(c, self._s_re, self._s_im)
 
-    def _sums(self, z: np.ndarray) -> np.ndarray:
-        """sum_k Im(z e^{iuX_k}) node-wise, for z of shape (Q,) or (3, Q)."""
-        return z.imag * self._s_re + z.real * self._s_im
+    def _folded_weights(self, weight_factor=None) -> np.ndarray:
+        """The rule's weights inside the window, times weight_factor if given, folded onto `u`.
+
+        weight_factor has the rule's nodes on its last axis; leading axes
+        give one set of folded weights each, summed in the same order.
+        """
+        w = self._rule_w
+        if weight_factor is not None:
+            w = w * np.asarray(weight_factor, dtype=float)[..., self._mask]
+        out = np.zeros(w.shape[:-1] + self.u.shape)
+        np.add.at(out.T, self._fold, w.T)
+        return out
 
     def _squares(self, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """sum_k Im(y e^{iuX_k}) Im(z e^{iuX_k}) node-wise, broadcasting like `_sums`."""
+        """sum_k Im(y e^{iuX_k}) Im(z e^{iuX_k}) node-wise, broadcasting like `_im_sums`."""
         return (y.imag * z.imag) * self._q_rr + (y.imag * z.real + y.real * z.imag) * self._q_ri \
             + (y.real * z.real) * self._q_ii
 
@@ -239,6 +301,11 @@ class ContrastEvaluator:
         r, jac = s_inv / self.n, -s_c / self.n
         wr = self.w * r
         return float(np.dot(r, wr)), 2.0 * jac @ wr
+
+    def plugin_hessian(self, theta: EuclideanParam) -> np.ndarray:
+        """Exact Hessian of the plug-in statistic in (p, alpha, beta), shape (3, 3)."""
+        return _plugin_gradient_hessian(self.u, self.w, self._s_re, self._s_im, self.n,
+                                        theta.p, theta.alpha, theta.beta)[1]
 
     def information_and_score(self, theta: EuclideanParam):
         """Sandwich pieces (info, v_hat) of the plug-in contrast at theta, each (3, 3).

@@ -155,6 +155,14 @@ def _u_grid(bandwidth: float, max_phase_arg: float) -> tuple[np.ndarray, float]:
     return np.linspace(0.0, u_max, count), u_max
 
 
+def _unit_phases(arg: np.ndarray) -> np.ndarray:
+    """e^{i arg}, its cosine and sine written into one complex buffer."""
+    out = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=out.real)
+    np.sin(arg, out=out.imag)
+    return out
+
+
 def deconvolved_density_values(sample: Sample, theta: EuclideanParam,
                                bandwidth: float, xs,
                                loo_thetas=None) -> np.ndarray:
@@ -185,21 +193,21 @@ def deconvolved_density_values(sample: Sample, theta: EuclideanParam,
     ratio = np.zeros(u.size, dtype=complex)
     if loo_thetas is None:
         for blk in _blocks(sample.n, u.size):
-            ratio += np.exp(1j * np.outer(u, x_data[blk])).sum(axis=1)
+            ratio += _unit_phases(np.outer(u, x_data[blk])).sum(axis=1)
         ratio /= at.p * np.exp(1j * u * at.alpha) + (1.0 - at.p) * np.exp(1j * u * at.beta)
     else:
         # e^{iuX_k} / M(theta_k, u) = 1 / (p_k e^{iu(alpha_k-X_k)} + (1-p_k) e^{iu(beta_k-X_k)})
         p_k, a_k, b_k = np.array([th.as_array() for th in loo_thetas]).T
         a_k, b_k = a_k - sample.values, b_k - sample.values
         for blk in _blocks(sample.n, u.size):
-            shifted_m = (p_k[blk] * np.exp(1j * np.outer(u, a_k[blk]))
-                         + (1.0 - p_k[blk]) * np.exp(1j * np.outer(u, b_k[blk])))
+            shifted_m = (p_k[blk] * _unit_phases(np.outer(u, a_k[blk]))
+                         + (1.0 - p_k[blk]) * _unit_phases(np.outer(u, b_k[blk])))
             ratio += (1.0 / shifted_m).sum(axis=1)
     coef = trap * damp * ratio / sample.n
 
     out = np.empty(xs.size)
     for blk in _blocks(xs.size, u.size):
-        out[blk] = 2.0 * (np.exp(-1j * np.outer(xs[blk], u)) @ coef).real
+        out[blk] = 2.0 * (_unit_phases(np.outer(xs[blk], -u)) @ coef).real
     return out
 
 

@@ -13,14 +13,18 @@ Optimization is one bounded L-BFGS-B descent per start on (p, alpha, beta)
 directly, with p held in the box and the analytic gradient of the plug-in
 contrast.  Candidates that collapse onto the box edge in p or merge the two
 locations are set aside as degenerate; the smallest objective among the
-remaining candidates wins.  Leave-one-out refits run the same descent from
-the full-sample estimate.  Every fit statistic is computed on the sample
-centred at its median, which changes nothing in exact arithmetic (see
-`_centred`) and makes the estimate translation-equivariant in floating
-point.  The default contrast configuration (the weight rule's cutoff and
-the truncation) is computed from the centred sample's scale as well, by
-`fit` and by the command line alike, so `symmix fit` reports the same
-estimate as `fit` on the same data, bit for bit.
+remaining candidates wins.  Leave-one-out refits start from the full-sample
+estimate and run Newton's method on the exact Hessian of the same objective,
+all n at once: each reduced sample's node sums are the full sample's minus
+one observation's features, and its weights differ only through its robust
+scale.  A refit that Newton does not settle falls back to the descent on
+the reduced sample's own evaluator.  Every fit statistic is computed on
+the sample centred at its median, which changes nothing in exact
+arithmetic (see `_centred`) and makes the estimate translation-equivariant
+in floating point.  The default contrast configuration (the weight rule's
+cutoff and the truncation) is computed from the centred sample's scale as
+well, by `fit` and by the command line alike, so `symmix fit` reports the
+same estimate as `fit` on the same data, bit for bit.
 
 The plug-in sandwich covariance I^{-1} V I^{-1} takes both pieces from
 `ContrastEvaluator.information_and_score` on the same smoothed evaluator:
@@ -35,7 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .contrast import ContrastConfig, ContrastEvaluator, default_trunc_h
+from .contrast import (ContrastConfig, ContrastEvaluator, _blocks, _plugin_gradient_hessian,
+                       default_trunc_h)
 from .errors import DegenerateFit, SampleTooSmall, SingularInformation
 from .params import EuclideanParam, ParamBox, Sample, canonicalize
 from .weights import build_weight_rule, scale_aware_cutoff
@@ -321,21 +326,108 @@ def _covariance_with_fallback(ev: ContrastEvaluator, theta: EuclideanParam):
     return _sandwich(ev, theta, fallback=True)
 
 
+def _loo_scales(x: np.ndarray) -> np.ndarray:
+    """robust_scale(np.delete(x, k)) for every k, bit for bit, from one sort.
+
+    The reduced sample's j-th order statistic is the full sample's j-th when
+    the removed observation ranks above j, and its (j+1)-th otherwise.  The
+    quartiles read a few order statistics next to q (n - 2), so the scale is
+    the same for every removed rank between two of those positions: one
+    robust_scale per such run of ranks serves.  The standard-deviation
+    fallback of a zero interquartile range reads every value and is
+    computed for each k.
+    """
+    n = x.size
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    read = np.floor(np.array([0.25, 0.75]) * (n - 2)).astype(int)[:, None] + np.arange(-1, 3)
+    edges = np.unique(np.concatenate([[0, n], np.clip(read.ravel() + 1, 0, n)]))
+    scales = np.empty(n)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        reduced = np.delete(xs, lo)
+        q1, q3 = np.quantile(reduced, [0.25, 0.75])
+        if q3 > q1:
+            scales[order[lo:hi]] = robust_scale(reduced)
+        else:
+            scales[order[lo:hi]] = [robust_scale(np.delete(x, k)) for k in order[lo:hi]]
+    return scales
+
+
+# Newton iterations a leave-one-out refit gets before it falls back to `_descend`
+_NEWTON_MAX_ITER = 30
+# a Newton step this small, relative to the parameter, ends a refit
+_NEWTON_STEP_TOL = 1e-12
+
+
+def _newton_refits(centred: Sample, start: EuclideanParam, ccfg: ContrastConfig,
+                   box: ParamBox):
+    """Every leave-one-out refit of the fit objective, by batched Newton from `start`.
+
+    One evaluator of the full centred sample gives the node sums S; refit k
+    uses S - (cos uX_k, sin uX_k) and the smoothed weights of the n - 1
+    remaining observations, which differ from the full sample's only through
+    their robust scale, so all n refits are one batched problem.  Each runs
+    Newton steps on the exact Hessian until its step is at rounding level.
+    The batch runs in blocks of about _BLOCK_ELEMENTS / (36 Q) refits, so
+    the Hessian's working set stays near _BLOCK_ELEMENTS reals whatever n
+    is.  Returns the refits, shape (n, 3), and a flag per refit
+    that is False where it did not converge within _NEWTON_MAX_ITER steps,
+    met a Hessian that is not positive definite, or ended outside the p-box.
+    """
+    x, n = centred.values, centred.n
+    ev = ContrastEvaluator(centred, ccfg)
+    scales = _loo_scales(x)
+    thetas = np.tile(start.as_array(), (n, 1))
+    ok = np.zeros(n, dtype=bool)
+    # about six (block, 3, Q) complex arrays are alive at once in the Hessian
+    for blk in _blocks(n, 36 * ev.u.size):
+        arg = np.outer(x[blk], ev.u)
+        s_re, s_im = ev._s_re - np.cos(arg), ev._s_im - np.sin(arg)
+        w = ev._folded_weights(_smoothing_factor(ccfg, n - 1, scales[blk, None]))
+        th, done = thetas[blk], ok[blk]          # views: written in place
+        live = np.arange(th.shape[0])
+        for _ in range(_NEWTON_MAX_ITER):
+            if live.size == 0:
+                break
+            grad, hess = _plugin_gradient_hessian(ev.u, w[live], s_re[live], s_im[live],
+                                                  n - 1, *th[live].T[..., None])
+            finite = np.isfinite(hess).all(axis=(1, 2)) & np.isfinite(grad).all(axis=1)
+            posdef = finite.copy()
+            posdef[finite] = np.linalg.eigvalsh(hess[finite])[:, 0] > 0.0
+            live, grad, hess = live[posdef], grad[posdef], hess[posdef]
+            step = np.linalg.solve(hess, grad[..., None])[..., 0]
+            th[live] -= step
+            small = np.max(np.abs(step), axis=1) <= _NEWTON_STEP_TOL * np.maximum(
+                1.0, np.max(np.abs(th[live]), axis=1))
+            done[live[small]] = True
+            live = live[~small]
+    ok &= (box.p_low <= thetas[:, 0]) & (thetas[:, 0] <= box.p_high)
+    return thetas, ok
+
+
 def leave_one_out_thetas(sample: Sample, theta_hat: EuclideanParam,
                          cfg: FitConfig | None = None,
                          ccfg: ContrastConfig | None = None) -> list[EuclideanParam]:
     """Exact leave-one-out refits, warm-started at the full-sample estimate.
 
-    Every refit runs in the full sample's centred frame (see `fit`).
+    Every refit runs in the full sample's centred frame (see `fit`), as one
+    batched Newton solve on node sums downdated from a single full-sample
+    evaluator (see `_newton_refits`).  A refit whose Newton iteration does
+    not converge, meets a Hessian that is not positive definite, or ends
+    outside the p-box is redone by `_descend` on the rebuilt evaluator of
+    the reduced sample.  A refit whose locations merge returns theta_hat.
     """
     cfg = cfg or FitConfig()
     centred, m = _centred(sample)
     ccfg = ccfg or default_contrast_config(centred)
     start = _shift(theta_hat, -m)
+    thetas, ok = _newton_refits(centred, start, ccfg, cfg.box)
     out = []
     for k in range(sample.n):
-        ev = _smoothed_evaluator(Sample(np.delete(centred.values, k)), ccfg)
-        p, a, b = (float(v) for v in _descend(ev, start, cfg).x)
+        if not ok[k]:
+            ev = _smoothed_evaluator(Sample(np.delete(centred.values, k)), ccfg)
+            thetas[k] = _descend(ev, start, cfg).x
+        p, a, b = (float(v) for v in thetas[k])
         if abs(a - b) < cfg.box.sep_min:
             out.append(theta_hat)
         else:

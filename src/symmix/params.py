@@ -53,7 +53,7 @@ class ParamBox:
 DEFAULT_BOX = ParamBox()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EuclideanParam:
     """Mixing proportion and the two component locations.
 
@@ -61,7 +61,8 @@ class EuclideanParam:
     p in (0, 1) with p != 1/2, and alpha != beta.  Points with p > 1/2 are
     allowed so the label-swap symmetry (p, alpha, beta) <-> (1-p, beta, alpha)
     can be evaluated on both sides; `canonicalize` maps onto the p < 1/2
-    representative and checks the configured box.
+    representative and checks the configured box.  Slotted, like `Sample`,
+    so an instance carries no dict: leave-one-out returns n of them.
     """
 
     p: float

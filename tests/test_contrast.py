@@ -346,3 +346,51 @@ def test_evaluator_state_does_not_grow_with_n():
     small = kept(1_000)
     assert small == kept(100_000)
     assert small < 4 * (2 * 128) ** 2 * 8
+
+
+# ------------------------------------------------------------------- Hessian
+
+
+def fitted_evaluator(family, theta0):
+    """The fit objective's evaluator of an n = 100 sample, and its fitted optimum there."""
+    from symmix import fit, sample_mixture, ScenarioSpec
+    from symmix.estimator import _centred, _shift, _smoothed_evaluator
+    from symmix import default_contrast_config
+
+    sample = sample_mixture(ScenarioSpec(family, theta0, 100, 1, 7), 0)
+    centred, m = _centred(sample)
+    ev = _smoothed_evaluator(centred, default_contrast_config(centred))
+    return ev, _shift(fit(sample).theta_hat, -m)
+
+
+def hessian_by_differences(ev, theta, step=1e-6):
+    base = theta.as_array()
+    cols = []
+    for j in range(3):
+        hi, lo = base.copy(), base.copy()
+        hi[j] += step
+        lo[j] -= step
+        cols.append((ev.plugin_value_gradient(EuclideanParam(*hi))[1]
+                     - ev.plugin_value_gradient(EuclideanParam(*lo))[1]) / (2 * step))
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("family, theta0", [("gauss", THETA0),
+                                            ("cauchy", EuclideanParam(0.2, 1.0, 5.0))])
+def test_plugin_hessian_matches_differences_of_gradient(family, theta0):
+    from symmix.contrast import _plugin_gradient_hessian
+
+    ev, optimum = fitted_evaluator(family, theta0)
+    for theta in (optimum, EuclideanParam(0.7, 0.3, -0.8), EuclideanParam(0.3, -0.5, 1.0)):
+        hess = ev.plugin_hessian(theta)
+        fd = hessian_by_differences(ev, theta)
+        assert np.max(np.abs(hess - fd)) <= 1e-7 * np.max(np.abs(hess))
+        assert np.array_equal(hess, hess.T)
+        # the batched form, with a batch of one
+        grad1, hess1 = _plugin_gradient_hessian(
+            ev.u, ev.w[None], ev._s_re[None], ev._s_im[None], ev.n,
+            *theta.as_array()[:, None, None])
+        assert hess1.shape == (1, 3, 3) and np.array_equal(hess1[0], hess)
+        assert np.allclose(grad1[0], ev.plugin_value_gradient(theta)[1], rtol=1e-12, atol=1e-17)
+    # a local minimum: positive definite there
+    assert np.linalg.eigvalsh(ev.plugin_hessian(optimum))[0] > 0.0

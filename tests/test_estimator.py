@@ -289,3 +289,141 @@ def test_leave_one_out_thetas_stay_close():
     base = res.theta_hat.as_array()
     for th in loo:
         assert np.max(np.abs(th.as_array() - base)) < 0.75
+
+
+def reference_leave_one_out(sample, theta_hat, cfg=FitConfig()):
+    """The per-observation algorithm: rebuild the evaluator of each reduced
+    sample and run one L-BFGS-B descent from theta_hat."""
+    from symmix.estimator import _centred, _descend, _shift, _smoothed_evaluator
+
+    centred, m = _centred(sample)
+    ccfg = default_contrast_config(centred)
+    start = _shift(theta_hat, -m)
+    out = []
+    for k in range(sample.n):
+        ev = _smoothed_evaluator(Sample(np.delete(centred.values, k)), ccfg)
+        p, a, b = (float(v) for v in _descend(ev, start, cfg).x)
+        out.append(theta_hat if abs(a - b) < cfg.box.sep_min
+                   else _shift(EuclideanParam(p, a, b), m))
+    return out
+
+
+def rebuilt_evaluators(sample):
+    """The fit objective's evaluator of each reduced sample, in the centred frame."""
+    from symmix.estimator import _centred, _smoothed_evaluator
+
+    centred, m = _centred(sample)
+    ccfg = default_contrast_config(centred)
+    return [_smoothed_evaluator(Sample(np.delete(centred.values, k)), ccfg)
+            for k in range(sample.n)], m
+
+
+LOO_SAMPLES = ["rainfall", "gauss", "cauchy"]
+
+
+@pytest.fixture(scope="module")
+def loo_cases():
+    from symmix.cli import rainfall_path, read_numeric_csv
+
+    samples = {
+        "rainfall": Sample(read_numeric_csv(rainfall_path())),
+        "gauss": gauss_sample(100, rep=0, seed=7),
+        "cauchy": sample_mixture(ScenarioSpec("cauchy", EuclideanParam(0.2, 1.0, 5.0),
+                                              100, 1, 7), 0),
+    }
+    cases = {}
+    for name, sample in samples.items():
+        theta_hat = fit(sample).theta_hat
+        cases[name] = (sample, theta_hat, reference_leave_one_out(sample, theta_hat))
+    return cases
+
+
+@pytest.mark.parametrize("name", LOO_SAMPLES)
+def test_leave_one_out_downdated_sums_equal_rebuilt_evaluators(name, loo_cases, monkeypatch):
+    from symmix import estimator
+
+    sample, theta_hat, _ = loo_cases[name]
+    first = []
+    newton_terms = estimator._plugin_gradient_hessian
+
+    def recording(u, w, s_re, s_im, n, *theta):
+        if not first:
+            first.append((u, w, s_re, s_im, n))
+        return newton_terms(u, w, s_re, s_im, n, *theta)
+
+    monkeypatch.setattr(estimator, "_plugin_gradient_hessian", recording)
+    leave_one_out_thetas(sample, theta_hat)
+    u, w, s_re, s_im, n = first[0]
+    evs, _ = rebuilt_evaluators(sample)
+    assert n == sample.n - 1 and w.shape == (sample.n, u.size)
+    for k, ev in enumerate(evs):
+        assert np.array_equal(ev.u, u) and ev.n == n
+        assert np.max(np.abs(w[k] - ev.w)) <= 1e-12 * np.max(ev.w)
+        assert np.max(np.abs(s_re[k] - ev._s_re)) <= 1e-12 * n
+        assert np.max(np.abs(s_im[k] - ev._s_im)) <= 1e-12 * n
+
+
+@pytest.mark.parametrize("name", LOO_SAMPLES)
+def test_leave_one_out_matches_per_observation_descent(name, loo_cases):
+    from symmix.estimator import _shift
+
+    sample, theta_hat, ref = loo_cases[name]
+    got = leave_one_out_thetas(sample, theta_hat)
+    evs, m = rebuilt_evaluators(sample)
+    grad_got = grad_ref = 0.0
+    for ev, a, b in zip(evs, got, ref):
+        assert np.max(np.abs(a.as_array() - b.as_array())) <= 1e-5
+        v_got, g_got = ev.plugin_value_gradient(_shift(a, -m))
+        v_ref, g_ref = ev.plugin_value_gradient(_shift(b, -m))
+        assert v_got <= v_ref * (1.0 + 1e-12)
+        grad_got = max(grad_got, np.max(np.abs(g_got)))
+        grad_ref = max(grad_ref, np.max(np.abs(g_ref)))
+    assert grad_got <= grad_ref
+
+
+def test_leave_one_out_falls_back_to_descent(loo_cases, monkeypatch):
+    from symmix import estimator
+
+    sample, theta_hat, ref = loo_cases["gauss"]
+    refused, merged = [3, 41, 97], 60
+    newton = estimator._newton_refits
+
+    def failing(centred, start, ccfg, box):
+        thetas, ok = newton(centred, start, ccfg, box)
+        ok[refused] = False
+        thetas[merged, 2] = thetas[merged, 1] + 0.5 * box.sep_min
+        return thetas, ok
+
+    monkeypatch.setattr(estimator, "_newton_refits", failing)
+    got = leave_one_out_thetas(sample, theta_hat)
+    for k in refused:
+        assert got[k] == ref[k]
+    assert got[merged] is theta_hat
+
+
+def test_leave_one_out_memory_does_not_grow_with_n():
+    import tracemalloc
+
+    def peak(n):
+        sample = gauss_sample(n, rep=5)
+        theta_hat = fit(sample).theta_hat
+        tracemalloc.start()
+        try:
+            leave_one_out_thetas(sample, theta_hat)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # both past the evaluator's first block of observations, whose own pass
+    # grows with n up to there, as fit's does
+    assert peak(16_000) <= peak(4_000) + 2 * 2 ** 20
+
+
+def test_loo_scales_equal_robust_scale_of_each_reduced_sample():
+    from symmix.estimator import _loo_scales, robust_scale
+
+    rng = np.random.default_rng(5)
+    for x in (rng.standard_normal(37), np.round(rng.standard_normal(60), 1),
+              np.r_[np.zeros(30), rng.standard_normal(3)], rng.standard_normal(10)):
+        want = [robust_scale(np.delete(x, k)) for k in range(x.size)]
+        assert np.array_equal(_loo_scales(x), want)

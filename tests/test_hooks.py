@@ -1,5 +1,6 @@
-"""Every (module, attribute) that perfbench/run.py hooks must exist, and the
-symmix.cli ones must be called by `symmix density`.
+"""Every (module, attribute) that perfbench/run.py hooks must exist, the
+symmix.cli ones must be called by `symmix density`, and leave-one-out must
+build the evaluator its `contrast.precompute` hook reads.
 
 The hook list is read with ast rather than by importing run.py, whose import
 sets BLAS thread variables for the whole process.
@@ -9,7 +10,9 @@ import ast
 import importlib
 from pathlib import Path
 
+import symmix
 import symmix.cli
+from symmix import estimator
 
 RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
@@ -55,3 +58,29 @@ def test_cli_hook_targets_are_called_by_density(tmp_path, monkeypatch):
     out = tmp_path / "curve.csv"
     assert symmix.cli.main(["density", symmix.cli.rainfall_path(), "--out", str(out)]) == 0
     assert names and all(calls[attr] >= 1 for attr in names), calls
+
+
+def test_leave_one_out_builds_one_evaluator(monkeypatch):
+    # perfbench's rainfall_loo reads contrast.nodes from the evaluators that
+    # leave_one_out_thetas builds, and asserts it is positive
+    sample = symmix.Sample(symmix.cli.read_numeric_csv(symmix.cli.rainfall_path()))
+    theta_hat = symmix.fit(sample).theta_hat
+    built, flags = [], []
+    init = symmix.ContrastEvaluator.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    newton = estimator._newton_refits
+
+    def recorded(*args):
+        thetas, ok = newton(*args)
+        flags.append(ok)
+        return thetas, ok
+
+    monkeypatch.setattr(symmix.ContrastEvaluator, "__init__", counted_init)
+    monkeypatch.setattr(estimator, "_newton_refits", recorded)
+    symmix.leave_one_out_thetas(sample, theta_hat)
+    assert len(flags) == 1 and flags[0].all()      # no refit fell back
+    assert len(built) == 1 and built[0].u.size > 0

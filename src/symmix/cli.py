@@ -24,7 +24,7 @@ from .density import DensityConfig, deconvolved_density_values, default_bandwidt
     estimate_density, estimate_g
 from .errors import DegenerateFit, DegenerateParam, EmptyPositivePart, SampleTooSmall, \
     SymmixError
-from .estimator import FitConfig, _centred, _shift, _smoothed_evaluator, fit, robust_scale
+from .estimator import FitConfig, _centred, _fit, _frame, _shift, fit, robust_scale
 from .params import EuclideanParam, Sample
 from .simulate import MCSummary, ScenarioSpec, run_scenario
 from .weights import build_weight_rule, scale_aware_cutoff
@@ -89,22 +89,17 @@ def read_numeric_csv(path: str) -> np.ndarray:
     def split(ln: str) -> list[str]:
         return [t.strip() for t in ln.split(delim)]
 
+    def numeric_column(ln: str) -> int | None:
+        return next((j for j, tok in enumerate(split(ln))
+                     if tok and _parse_float(tok) is not None), None)
+
     start = 0
-    col = None
-    first_fields = split(rows[0][1])
-    for j, tok in enumerate(first_fields):
-        if tok and _parse_float(tok) is not None:
-            col = j
-            break
+    col = numeric_column(rows[0][1])
     if col is None:
         start = 1     # header row
         if len(rows) == 1:
             raise CliInputError(f"{path}: no numeric data after header")
-        second = split(rows[1][1])
-        for j, tok in enumerate(second):
-            if tok and _parse_float(tok) is not None:
-                col = j
-                break
+        col = numeric_column(rows[1][1])
         if col is None:
             raise CliInputError(f"{path}: line 2: no numeric column found")
 
@@ -277,6 +272,8 @@ def _env_seed() -> int:
 
 def cmd_simulate(args) -> int:
     theta0 = _parse_theta(args.theta0)
+    if args.jobs < 1:
+        raise CliInputError(f"--jobs must be >= 1, got {args.jobs}")
     seed = args.seed if args.seed is not None else _env_seed()
     with _user_input():
         spec = ScenarioSpec(family=args.family, theta0=theta0, n=args.n,
@@ -298,20 +295,19 @@ def cmd_simulate(args) -> int:
 def cmd_scan(args) -> int:
     sample, ccfg = _load(args)
     lo, hi, steps = _parse_triple(args.range, "--range")
-    theta = fit(sample, _fit_config(args), ccfg).theta_hat
-    # the fit's own objective evaluator in the fit's frame, so the row at
+    # scanned on the fit's own evaluator in the fit's frame, so the row at
     # theta_hat repeats the fit's contrast and objective
-    centred, m = _centred(sample)
-    ev = _smoothed_evaluator(centred, ccfg)
+    frame = _frame(sample, ccfg)
+    theta = _fit(frame, _fit_config(args)).theta_hat
 
     lines = [f"{args.param},contrast,objective"]
     for v in np.linspace(lo, hi, steps):
         try:
-            th = _shift(EuclideanParam(**{**_theta_dict(theta), args.param: float(v)}), -m)
+            th = _shift(EuclideanParam(**{**_theta_dict(theta), args.param: float(v)}), -frame.m)
         except DegenerateParam:
             lines.append(f"{float(v)!r},,")
             continue
-        lines.append(f"{float(v)!r},{ev.u_statistic(th)!r},{ev.plugin(th)!r}")
+        lines.append(f"{float(v)!r},{frame.ev.u_statistic(th)!r},{frame.ev.plugin(th)!r}")
 
     config = _config_echo(args, sample, ccfg, param=args.param, range=[lo, hi, steps],
                           theta_hat=_theta_dict(theta))

@@ -128,17 +128,24 @@ def _im_sums(z: np.ndarray, s_re: np.ndarray, s_im: np.ndarray) -> np.ndarray:
     return z.imag * s_re + z.real * s_im
 
 
-def _phases(u: np.ndarray, p, alpha, beta):
-    """e^{iu alpha}, e^{iu beta}, 1/M and Mdot on the nodes u.
+def _block(u, s_re, s_im, p, alpha, beta):
+    """Derivative block (1/M, Mdot/M^2) on the nodes and its node sums, batched.
 
-    p, alpha and beta are scalars, or arrays of shape (..., 1) holding a
-    batch of parameters; Mdot stacks its (p, alpha, beta) rows on the
-    second-last axis.
+    u has shape (Q,); s_re and s_im, of shape (..., Q), are the node sums
+    of (cos uX_k, sin uX_k); p, alpha and beta are scalars or (..., 1)
+    holding a batch of parameters.  Returns inv = 1/M and c = Mdot/M^2, of
+    shapes (..., Q) and (..., 3, Q) with the (p, alpha, beta) rows on the
+    second-last axis, s_inv = sum_k Im(inv e^{iuX_k}) and
+    s_c = sum_k Im(c e^{iuX_k}) of the same shapes, then e^{iu alpha},
+    e^{iu beta} and Mdot, which only the Hessian reads.
     """
     iu = 1j * u
     ea, eb = np.exp(iu * alpha), np.exp(iu * beta)
     inv = 1.0 / (p * ea + (1.0 - p) * eb)
-    return ea, eb, inv, np.stack([ea - eb, iu * p * ea, iu * (1.0 - p) * eb], axis=-2)
+    mdot = np.stack([ea - eb, iu * p * ea, iu * (1.0 - p) * eb], axis=-2)
+    c = mdot * (inv * inv)[..., None, :]
+    s_c = _im_sums(c, s_re[..., None, :], s_im[..., None, :])
+    return inv, c, _im_sums(inv, s_re, s_im), s_c, ea, eb, mdot
 
 
 def _plugin_gradient_hessian(u, w, s_re, s_im, n, p, alpha, beta):
@@ -148,20 +155,20 @@ def _plugin_gradient_hessian(u, w, s_re, s_im, n, p, alpha, beta):
     and the node sums of (cos uX_k, sin uX_k) over n observations; p, alpha
     and beta are scalars or (..., 1).  Returns shapes (..., 3) and (..., 3, 3).
 
-    With r = sum_k Im(e^{iuX_k}/M)/n and J = -sum_k Im(e^{iuX_k} Mdot/M^2)/n,
-    the gradient is 2 J W r and the Hessian 2 J W J^T + 2 sum_q w_q r_q H_q,
-    where H = sum_k Im(e^{iuX_k} (2 Mdot Mdot^T/M^3 - Mddot/M^2))/n.  Mddot
+    With r = sum_k Im(e^{iuX_k}/M)/n and J = -sum_k Im(e^{iuX_k} Mdot/M^2)/n
+    from `_block`, the gradient is 2 J W r and the Hessian
+    2 J W J^T + 2 sum_q w_q r_q H_q, where
+    H = sum_k Im(e^{iuX_k} (2 Mdot Mdot^T/M^3 - Mddot/M^2))/n.  Mddot
     has four nonzero entries: d2M/dp dalpha = iu e^{iu alpha}, d2M/dp dbeta =
     -iu e^{iu beta}, d2M/dalpha^2 = iu Mdot_alpha, d2M/dbeta^2 = iu Mdot_beta.
     The six distinct entries are reduced one at a time, so the working set
     stays at a few arrays of shape (..., 3, Q).
     """
-    ea, eb, inv, mdot = _phases(u, p, alpha, beta)
+    inv, _, s_inv, s_c, ea, eb, mdot = _block(u, s_re, s_im, p, alpha, beta)
     inv2 = inv * inv
-    r = _im_sums(inv, s_re, s_im) / n
+    r = s_inv / n
     wr = w * r
-    jac = np.stack([-_im_sums(mdot[..., i, :] * inv2, s_re, s_im) / n for i in range(3)],
-                   axis=-2)
+    jac = -s_c / n
     # Mddot/M^2 is t times e^{iu alpha}, -e^{iu beta}, Mdot_alpha or Mdot_beta
     t = 1j * u * inv2
     mddot = {(0, 1): ea, (0, 2): -eb, (1, 1): mdot[..., 1, :], (2, 2): mdot[..., 2, :]}
@@ -208,14 +215,15 @@ class ContrastEvaluator:
     S_re, S_im of the features v_k = (cos uX_k, sin uX_k) and their Gram
     matrix G = sum_k v_k v_k^T, of shape (2Q, 2Q), and nothing of size n; the
     pair statistic's diagonal sums are diagonals of G.  Every value,
-    gradient and sandwich piece starts from the one helper `_block`, which
-    returns the derivative block (1/M, Mdot/M^2) of shape (Q,) and (3, Q)
-    and its node sums sum_k Im(z e^{iuX_k}) = Im z * S_re + Re z * S_im;
+    gradient and sandwich piece starts from the module's one helper
+    `_block`, which returns the derivative block (1/M, Mdot/M^2) of shape
+    (Q,) and (3, Q) and its node sums sum_k Im(z e^{iuX_k}) =
+    Im z * S_re + Re z * S_im;
     `plugin` is the value of `plugin_value_gradient`.  In least-squares form
     the plug-in objective is V_n = r^T W r with residual
     r = sum_k Im(e^{iuX_k}/M)/n and Jacobian J = -sum_k Im(e^{iuX_k} Mdot/M^2)/n;
     the sandwich pieces of `information_and_score` come from the same J.
-    `plugin_hessian` adds the second-order terms on the same phases, in
+    `plugin_hessian` adds the second-order terms on the same block, in
     `_plugin_gradient_hessian`, so the first-order methods never pay for them.
 
     The active nodes are folded onto |u|: M(-u) = conj M(u) makes
@@ -250,15 +258,8 @@ class ContrastEvaluator:
         self._q_ri = gram.diagonal(q)
 
     def _block(self, theta: EuclideanParam):
-        """Derivative block (1/M, Mdot/M^2) on the nodes and its node sums.
-
-        Returns inv = 1/M and c = Mdot/M^2, of shapes (Q,) and (3, Q), with
-        s_inv = sum_k Im(inv e^{iuX_k}) and s_c = sum_k Im(c e^{iuX_k}) of the
-        same shapes.
-        """
-        _, _, inv, mdot = _phases(self.u, theta.p, theta.alpha, theta.beta)
-        c = mdot * (inv * inv)
-        return inv, c, _im_sums(inv, self._s_re, self._s_im), _im_sums(c, self._s_re, self._s_im)
+        """The module's `_block` on this sample's node sums: inv, c, s_inv, s_c."""
+        return _block(self.u, self._s_re, self._s_im, theta.p, theta.alpha, theta.beta)[:4]
 
     def _folded_weights(self, weight_factor=None) -> np.ndarray:
         """The rule's weights inside the window, times weight_factor if given, folded onto `u`.

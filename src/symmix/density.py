@@ -40,7 +40,7 @@ import numpy as np
 from .contrast import _blocks
 from .errors import BadSmoothness, EmptyPositivePart
 from .estimator import _centred, _shift
-from .params import EuclideanParam, Sample
+from .params import EuclideanParam, Sample, m_func
 
 __all__ = [
     "DensityConfig",
@@ -194,7 +194,7 @@ def deconvolved_density_values(sample: Sample, theta: EuclideanParam,
     if loo_thetas is None:
         for blk in _blocks(sample.n, u.size):
             ratio += _unit_phases(np.outer(u, x_data[blk])).sum(axis=1)
-        ratio /= at.p * np.exp(1j * u * at.alpha) + (1.0 - at.p) * np.exp(1j * u * at.beta)
+        ratio /= m_func(at, u)
     else:
         # e^{iuX_k} / M(theta_k, u) = 1 / (p_k e^{iu(alpha_k-X_k)} + (1-p_k) e^{iu(beta_k-X_k)})
         p_k, a_k, b_k = np.array([th.as_array() for th in loo_thetas]).T

@@ -26,6 +26,15 @@ cutoff and the truncation) is computed from the centred sample's scale as
 well, by `fit` and by the command line alike, so `symmix fit` reports the
 same estimate as `fit` on the same data, bit for bit.
 
+One frame (`_Frame`, built by `_frame`) holds what these share: the
+centred sample and its median, its robust scale, computed once, from which
+the default configuration and the smoothing factor both come, the contrast
+configuration and the fit objective's evaluator.  `fit`,
+`asymptotic_covariance`, `leave_one_out_thetas` and `symmix scan` each
+build it once and pass it down.  It is not kept on the FitResult: the
+evaluator's Gram matrix is 512 KiB at the default rule, against under
+1 KiB for the result, and a caller may keep thousands of results.
+
 The plug-in sandwich covariance I^{-1} V I^{-1} takes both pieces from
 `ContrastEvaluator.information_and_score` on the same smoothed evaluator:
 I = 2 J W J^T from the contrast's Jacobian and V from the per-observation
@@ -117,9 +126,14 @@ def default_contrast_config(sample: Sample) -> ContrastConfig:
     the integration window tracks where the empirical characteristic
     function carries signal rather than noise.  The rule has 256 nodes.
     """
-    cutoff = scale_aware_cutoff(robust_scale(sample.values))
+    return _default_config(sample.n, robust_scale(sample.values))
+
+
+def _default_config(n: int, scale: float) -> ContrastConfig:
+    """`default_contrast_config` of n observations of the given robust scale."""
+    cutoff = scale_aware_cutoff(scale)
     rule = build_weight_rule("laplace_default", 256, cutoff)
-    return ContrastConfig(rule, default_trunc_h(sample.n, cutoff=cutoff))
+    return ContrastConfig(rule, default_trunc_h(n, cutoff=cutoff))
 
 
 def initial_points(sample: Sample, cfg: FitConfig) -> list[EuclideanParam]:
@@ -173,11 +187,36 @@ def _shift(theta: EuclideanParam, c: float) -> EuclideanParam:
     return EuclideanParam(theta.p, theta.alpha + c, theta.beta + c)
 
 
-def _smoothed_evaluator(sample: Sample, ccfg: ContrastConfig) -> ContrastEvaluator:
-    """Evaluator of the fit objective: rule weights times the smoothing factor."""
-    scale = robust_scale(sample.values)
+def _smoothed_evaluator(sample: Sample, ccfg: ContrastConfig, scale: float) -> ContrastEvaluator:
+    """Evaluator of the fit objective: rule weights times the smoothing factor of `scale`."""
     return ContrastEvaluator(sample, ccfg,
                              weight_factor=_smoothing_factor(ccfg, sample.n, scale))
+
+
+@dataclass(frozen=True, slots=True)
+class _Frame:
+    """One sample's fit frame: what the fit, its covariance and its refits share.
+
+    `centred` is the sample minus its median `m` (see `_centred`), `scale`
+    its robust scale, `ccfg` the contrast configuration (by default the one
+    of that scale) and `ev` the fit objective's evaluator, smoothed at that
+    scale.  Built by `_frame` and passed to what needs it; never kept on a
+    FitResult (see the module docstring).
+    """
+
+    centred: Sample
+    m: float
+    scale: float
+    ccfg: ContrastConfig
+    ev: ContrastEvaluator
+
+
+def _frame(sample: Sample, ccfg: ContrastConfig | None = None) -> _Frame:
+    """The fit frame of `sample`: one centring, one robust scale, one evaluator."""
+    centred, m = _centred(sample)
+    scale = robust_scale(centred.values)
+    ccfg = ccfg or _default_config(centred.n, scale)
+    return _Frame(centred, m, scale, ccfg, _smoothed_evaluator(centred, ccfg, scale))
 
 
 def _descend(ev: ContrastEvaluator, start: EuclideanParam, cfg: FitConfig):
@@ -206,20 +245,19 @@ def fit(sample: Sample, cfg: FitConfig | None = None,
     """
     if sample.n < 10:
         raise SampleTooSmall(f"fit needs n >= 10, got {sample.n}")
-    cfg = cfg or FitConfig()
-    centred, m = _centred(sample)
-    ccfg = ccfg or default_contrast_config(centred)
-    box = cfg.box
-    scale = robust_scale(centred.values)
-    ev = _smoothed_evaluator(centred, ccfg)
+    return _fit(_frame(sample, ccfg), cfg or FitConfig())
 
+
+def _fit(frame: _Frame, cfg: FitConfig) -> FitResult:
+    """`fit` in a frame built by `_frame` (of at least 10 observations)."""
+    box, ccfg, ev, m = cfg.box, frame.ccfg, frame.ev, frame.m
     candidates = []
-    for start in initial_points(centred, cfg):
+    for start in initial_points(frame.centred, cfg):
         res = _descend(ev, start, cfg)
         p, a, b = (float(v) for v in res.x)
         pinned = p <= box.p_low + 1e-3 * (box.p_high - box.p_low) \
             or p >= box.p_high - 1e-3 * (box.p_high - box.p_low)
-        merged = abs(a - b) < max(box.sep_min, 1e-3 * scale)
+        merged = abs(a - b) < max(box.sep_min, 1e-3 * frame.scale)
         candidates.append({
             "theta": (p, a, b),
             "objective": float(res.fun),
@@ -241,26 +279,23 @@ def fit(sample: Sample, cfg: FitConfig | None = None,
     # the reported estimate back in the fit's frame, as `symmix scan` maps it
     at = _shift(theta_hat, -m)
 
-    agree = 0
     ref = np.array(best["theta"])
     tol_agree = 1e-3 * max(1.0, float(np.max(np.abs(ref))))
-    for c in valid:
-        if np.max(np.abs(np.array(c["theta"]) - ref)) <= tol_agree:
-            agree += 1
+    agree = sum(bool(np.max(np.abs(np.array(c["theta"]) - ref)) <= tol_agree) for c in valid)
 
     cov, sigma_form = _covariance_with_fallback(ev, at)
-    std_errors = np.sqrt(np.maximum(np.diag(cov), 0.0) / sample.n)
+    std_errors = np.sqrt(np.maximum(np.diag(cov), 0.0) / ev.n)
 
     manifest = {
-        "n": sample.n,
+        "n": ev.n,
         "weight_rule": {
             "density_id": ccfg.weight_rule.density_id,
             "node_count": ccfg.weight_rule.node_count,
             "cutoff": ccfg.weight_rule.cutoff,
         },
         "trunc_h": ccfg.trunc_h,
-        "smooth_bandwidth": SMOOTH_C * sample.n ** -0.25,
-        "robust_scale": scale,
+        "smooth_bandwidth": SMOOTH_C * ev.n ** -0.25,
+        "robust_scale": frame.scale,
         "starts": cfg.starts,
         "max_iter": cfg.max_iter,
         "box": {"p_low": box.p_low, "p_high": box.p_high, "sep_min": box.sep_min},
@@ -293,8 +328,8 @@ def asymptotic_covariance(sample: Sample, theta_hat: EuclideanParam,
         raise SampleTooSmall("covariance plug-in needs n >= 10")
     if form not in ("sandwich", "stated"):
         raise ValueError(f"unknown form {form!r}")
-    centred, m = _centred(sample)
-    return _sandwich(_smoothed_evaluator(centred, ccfg), _shift(theta_hat, -m),
+    frame = _frame(sample, ccfg)
+    return _sandwich(frame.ev, _shift(theta_hat, -frame.m),
                      fallback=False, stated=form == "stated")[0]
 
 
@@ -359,31 +394,29 @@ _NEWTON_MAX_ITER = 30
 _NEWTON_STEP_TOL = 1e-12
 
 
-def _newton_refits(centred: Sample, start: EuclideanParam, ccfg: ContrastConfig,
-                   box: ParamBox):
+def _newton_refits(frame: _Frame, scales: np.ndarray, start: EuclideanParam, box: ParamBox):
     """Every leave-one-out refit of the fit objective, by batched Newton from `start`.
 
-    One evaluator of the full centred sample gives the node sums S; refit k
-    uses S - (cos uX_k, sin uX_k) and the smoothed weights of the n - 1
-    remaining observations, which differ from the full sample's only through
-    their robust scale, so all n refits are one batched problem.  Each runs
-    Newton steps on the exact Hessian until its step is at rounding level.
-    The batch runs in blocks of about _BLOCK_ELEMENTS / (36 Q) refits, so
-    the Hessian's working set stays near _BLOCK_ELEMENTS reals whatever n
-    is.  Returns the refits, shape (n, 3), and a flag per refit
-    that is False where it did not converge within _NEWTON_MAX_ITER steps,
-    met a Hessian that is not positive definite, or ended outside the p-box.
+    The frame's evaluator gives the node sums S of the full centred sample;
+    refit k uses S - (cos uX_k, sin uX_k) and the smoothed weights of the
+    n - 1 remaining observations, which differ from the full sample's only
+    through their robust scale, scales[k], so all n refits are one batched
+    problem.  Each runs Newton steps on the exact Hessian until its step is
+    at rounding level.  The batch runs in blocks of about
+    _BLOCK_ELEMENTS / (36 Q) refits, so the Hessian's working set stays near
+    _BLOCK_ELEMENTS reals whatever n is.  Returns the refits, shape (n, 3),
+    and a flag per refit that is False where it did not converge within
+    _NEWTON_MAX_ITER steps, met a Hessian that is not positive definite, or
+    ended outside the p-box.
     """
-    x, n = centred.values, centred.n
-    ev = ContrastEvaluator(centred, ccfg)
-    scales = _loo_scales(x)
+    ev, x, n = frame.ev, frame.centred.values, frame.centred.n
     thetas = np.tile(start.as_array(), (n, 1))
     ok = np.zeros(n, dtype=bool)
     # about six (block, 3, Q) complex arrays are alive at once in the Hessian
     for blk in _blocks(n, 36 * ev.u.size):
         arg = np.outer(x[blk], ev.u)
         s_re, s_im = ev._s_re - np.cos(arg), ev._s_im - np.sin(arg)
-        w = ev._folded_weights(_smoothing_factor(ccfg, n - 1, scales[blk, None]))
+        w = ev._folded_weights(_smoothing_factor(frame.ccfg, n - 1, scales[blk, None]))
         th, done = thetas[blk], ok[blk]          # views: written in place
         live = np.arange(th.shape[0])
         for _ in range(_NEWTON_MAX_ITER):
@@ -418,18 +451,16 @@ def leave_one_out_thetas(sample: Sample, theta_hat: EuclideanParam,
     the reduced sample.  A refit whose locations merge returns theta_hat.
     """
     cfg = cfg or FitConfig()
-    centred, m = _centred(sample)
-    ccfg = ccfg or default_contrast_config(centred)
-    start = _shift(theta_hat, -m)
-    thetas, ok = _newton_refits(centred, start, ccfg, cfg.box)
+    frame = _frame(sample, ccfg)
+    scales = _loo_scales(frame.centred.values)
+    start = _shift(theta_hat, -frame.m)
+    thetas, ok = _newton_refits(frame, scales, start, cfg.box)
     out = []
     for k in range(sample.n):
         if not ok[k]:
-            ev = _smoothed_evaluator(Sample(np.delete(centred.values, k)), ccfg)
-            thetas[k] = _descend(ev, start, cfg).x
+            reduced = Sample(np.delete(frame.centred.values, k))
+            thetas[k] = _descend(_smoothed_evaluator(reduced, frame.ccfg, scales[k]), start, cfg).x
         p, a, b = (float(v) for v in thetas[k])
-        if abs(a - b) < cfg.box.sep_min:
-            out.append(theta_hat)
-        else:
-            out.append(_shift(EuclideanParam(p, a, b), m))
+        out.append(theta_hat if abs(a - b) < cfg.box.sep_min
+                   else _shift(EuclideanParam(p, a, b), frame.m))
     return out

@@ -10,6 +10,7 @@ sampling anywhere.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -159,13 +160,15 @@ def run_scenario(spec: ScenarioSpec, fit_cfg: FitConfig | None = None,
                  jobs: int = 1) -> MCSummary:
     """Fit every replication and summarize the converged estimates.
 
-    Results are merged in replication order whatever the execution order, so
-    the summary is byte-identical across jobs settings.
+    At most min(jobs, replications, CPU count) worker processes run; one
+    means no pool.  Results are merged in replication order whatever the
+    execution order, so the summary is byte-identical across jobs settings.
     """
     fit_cfg = fit_cfg or FitConfig()
     tasks = [(spec, fit_cfg, r) for r in range(spec.replications)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, spec.replications, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             digests = list(pool.map(_one_replication, tasks, chunksize=1))
     else:
         digests = [_one_replication(t) for t in tasks]

@@ -289,8 +289,9 @@ SIM = ["simulate", "--family", "gauss", "--theta0", "0.25,-1,2", "--n", "60", "-
     (["density", "RAIN", "--grid", "0:1:8"], "grid needs at least 16 points"),
     (["fit", "CONST"], "sample has zero dispersion"),
     (["fit", "CONST", "--cutoff", "5"], "sample has zero dispersion"),
+    (SIM + ["--jobs", "0"], "--jobs must be >= 1, got 0"),
 ], ids=["fit-starts", "simulate-starts", "weight-nodes", "cutoff", "trunc-h", "bandwidth",
-        "grid", "constant", "constant-cutoff"])
+        "grid", "constant", "constant-cutoff", "jobs"])
 def test_invalid_flag_values_exit_2(rainfall, tmp_path, capsys, argv, message):
     const = tmp_path / "const.csv"
     const.write_text("5.0\n" * 12)

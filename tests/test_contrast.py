@@ -354,13 +354,11 @@ def test_evaluator_state_does_not_grow_with_n():
 def fitted_evaluator(family, theta0):
     """The fit objective's evaluator of an n = 100 sample, and its fitted optimum there."""
     from symmix import fit, sample_mixture, ScenarioSpec
-    from symmix.estimator import _centred, _shift, _smoothed_evaluator
-    from symmix import default_contrast_config
+    from symmix.estimator import _frame, _shift
 
     sample = sample_mixture(ScenarioSpec(family, theta0, 100, 1, 7), 0)
-    centred, m = _centred(sample)
-    ev = _smoothed_evaluator(centred, default_contrast_config(centred))
-    return ev, _shift(fit(sample).theta_hat, -m)
+    frame = _frame(sample)
+    return frame.ev, _shift(fit(sample).theta_hat, -frame.m)
 
 
 def hessian_by_differences(ev, theta, step=1e-6):

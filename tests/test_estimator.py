@@ -146,7 +146,7 @@ def test_plugin_repeats_fit_objective():
     # plugin and the descent's value are one expression, and fit reports the
     # statistics of its estimate in its own frame, so scan's objective column
     # repeats fit's objective to the last digit
-    from symmix.estimator import _centred, _shift, _smoothed_evaluator
+    from symmix.estimator import _frame, _shift
 
     for family, theta0 in [("gauss", THETA0), ("cauchy", EuclideanParam(0.2, 1.0, 5.0)),
                            ("laplace", THETA0)]:
@@ -154,9 +154,8 @@ def test_plugin_repeats_fit_objective():
         for r in range(15):
             sample = sample_mixture(spec, r)
             res = fit(sample)
-            centred, m = _centred(sample)
-            ev = _smoothed_evaluator(centred, default_contrast_config(centred))
-            theta = _shift(res.theta_hat, -m)
+            frame = _frame(sample)
+            ev, theta = frame.ev, _shift(res.theta_hat, -frame.m)
             value = ev.plugin(theta)
             assert repr(value) == repr(ev.plugin_value_gradient(theta)[0])
             assert repr(value) == repr(res.objective_at_opt)
@@ -202,10 +201,10 @@ def test_covariance_forms():
 def test_covariance_memory_stays_below_one_score_matrix():
     import tracemalloc
 
-    from symmix.estimator import _covariance_with_fallback, _smoothed_evaluator
+    from symmix.estimator import _covariance_with_fallback, _frame
 
     sample = gauss_sample(20_000, rep=7)
-    ev = _smoothed_evaluator(sample, default_contrast_config(sample))
+    ev = _frame(sample).ev
     tracemalloc.start()
     try:
         cov, form = _covariance_with_fallback(ev, THETA0)
@@ -294,14 +293,15 @@ def test_leave_one_out_thetas_stay_close():
 def reference_leave_one_out(sample, theta_hat, cfg=FitConfig()):
     """The per-observation algorithm: rebuild the evaluator of each reduced
     sample and run one L-BFGS-B descent from theta_hat."""
-    from symmix.estimator import _centred, _descend, _shift, _smoothed_evaluator
+    from symmix.estimator import _centred, _descend, _shift, _smoothed_evaluator, robust_scale
 
     centred, m = _centred(sample)
     ccfg = default_contrast_config(centred)
     start = _shift(theta_hat, -m)
     out = []
     for k in range(sample.n):
-        ev = _smoothed_evaluator(Sample(np.delete(centred.values, k)), ccfg)
+        reduced = Sample(np.delete(centred.values, k))
+        ev = _smoothed_evaluator(reduced, ccfg, robust_scale(reduced.values))
         p, a, b = (float(v) for v in _descend(ev, start, cfg).x)
         out.append(theta_hat if abs(a - b) < cfg.box.sep_min
                    else _shift(EuclideanParam(p, a, b), m))
@@ -310,12 +310,12 @@ def reference_leave_one_out(sample, theta_hat, cfg=FitConfig()):
 
 def rebuilt_evaluators(sample):
     """The fit objective's evaluator of each reduced sample, in the centred frame."""
-    from symmix.estimator import _centred, _smoothed_evaluator
+    from symmix.estimator import _centred, _smoothed_evaluator, robust_scale
 
     centred, m = _centred(sample)
     ccfg = default_contrast_config(centred)
-    return [_smoothed_evaluator(Sample(np.delete(centred.values, k)), ccfg)
-            for k in range(sample.n)], m
+    reduced = [Sample(np.delete(centred.values, k)) for k in range(sample.n)]
+    return [_smoothed_evaluator(r, ccfg, robust_scale(r.values)) for r in reduced], m
 
 
 LOO_SAMPLES = ["rainfall", "gauss", "cauchy"]
@@ -388,10 +388,10 @@ def test_leave_one_out_falls_back_to_descent(loo_cases, monkeypatch):
     refused, merged = [3, 41, 97], 60
     newton = estimator._newton_refits
 
-    def failing(centred, start, ccfg, box):
-        thetas, ok = newton(centred, start, ccfg, box)
+    def failing(*args):
+        thetas, ok = newton(*args)
         ok[refused] = False
-        thetas[merged, 2] = thetas[merged, 1] + 0.5 * box.sep_min
+        thetas[merged, 2] = thetas[merged, 1] + 0.5 * FitConfig().box.sep_min
         return thetas, ok
 
     monkeypatch.setattr(estimator, "_newton_refits", failing)

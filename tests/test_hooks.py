@@ -1,6 +1,8 @@
 """Every (module, attribute) that perfbench/run.py hooks must exist, the
 symmix.cli ones must be called by `symmix density`, and leave-one-out must
-build the evaluator its `contrast.precompute` hook reads.
+build the evaluator its `contrast.precompute` hook reads.  Each fit, scan
+and leave-one-out builds one frame (one robust scale, one evaluator), and
+a FitResult keeps none of it: the benchmark keeps every operation's output.
 
 The hook list is read with ast rather than by importing run.py, whose import
 sets BLAS thread variables for the whole process.
@@ -8,7 +10,10 @@ sets BLAS thread variables for the whole process.
 
 import ast
 import importlib
+import pickle
 from pathlib import Path
+
+import numpy as np
 
 import symmix
 import symmix.cli
@@ -84,3 +89,43 @@ def test_leave_one_out_builds_one_evaluator(monkeypatch):
     symmix.leave_one_out_thetas(sample, theta_hat)
     assert len(flags) == 1 and flags[0].all()      # no refit fell back
     assert len(built) == 1 and built[0].u.size > 0
+
+
+def counting(monkeypatch, owner, attr, calls):
+    """Replace owner.attr by a wrapper that appends to `calls` on each call."""
+    target = getattr(owner, attr)
+
+    def wrapper(*args, **kwargs):
+        calls.append(attr)
+        return target(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, wrapper)
+
+
+def test_fit_computes_robust_scale_once(monkeypatch):
+    sample = symmix.sample_mixture(symmix.ScenarioSpec(
+        "gauss", symmix.EuclideanParam(0.25, -1.0, 2.0), 100, 1, 7), 0)
+    scales = []
+    counting(monkeypatch, estimator, "robust_scale", scales)
+    symmix.fit(sample)
+    assert len(scales) == 1
+
+
+def test_scan_builds_one_evaluator_and_two_scales(tmp_path, monkeypatch):
+    # the load-time zero-dispersion check is one scale, the frame the other
+    built, scales = [], []
+    counting(monkeypatch, symmix.ContrastEvaluator, "__init__", built)
+    counting(monkeypatch, estimator, "robust_scale", scales)
+    counting(monkeypatch, symmix.cli, "robust_scale", scales)
+    out = tmp_path / "scan.csv"
+    assert symmix.cli.main(["scan", symmix.cli.rainfall_path(), "--param", "beta",
+                            "--range", "35:42:3", "--out", str(out)]) == 0
+    assert len(built) == 1 and len(scales) == 2
+
+
+def test_fit_result_keeps_no_frame():
+    # perfbench keeps every fit's output; an evaluator on it would keep its
+    # 512 KiB Gram matrix, and a centred sample 400 KB at this n
+    rng = np.random.default_rng(3)
+    x = np.where(rng.random(50_000) < 0.25, -1.0, 2.0) + rng.standard_normal(50_000)
+    assert len(pickle.dumps(symmix.fit(symmix.Sample(x)))) < 4096

@@ -92,3 +92,33 @@ def test_run_scenario_parallel_matches_serial():
     serial = run_scenario(spec, cfg, jobs=1)
     parallel = run_scenario(spec, cfg, jobs=2)
     assert serial.to_dict() == parallel.to_dict()
+
+
+@pytest.mark.parametrize("jobs, replications, cpus, workers", [
+    (5000, 2, 8, 2), (5000, 20, 3, 3), (2, 20, 8, 2)])
+def test_run_scenario_caps_workers(monkeypatch, jobs, replications, cpus, workers):
+    # a pool starts all its workers at once under fork, so the cap is on
+    # what the executor is asked for; the fake one runs the tasks in process
+    import symmix.simulate
+
+    asked = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(symmix.simulate, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(symmix.simulate.os, "cpu_count", lambda: cpus)
+    spec = ScenarioSpec("gauss", THETA0, 60, replications, 5)
+    summary = run_scenario(spec, FitConfig(starts=1), jobs=jobs)
+    assert asked == [workers]
+    assert summary.to_dict() == run_scenario(spec, FitConfig(starts=1)).to_dict()

@@ -29,12 +29,19 @@ O(Q) after one O(nQ) pass over the sample (Q = active nodes, with +-u
 folded onto |u|; see ContrastEvaluator).  All arithmetic is real; reality
 of the statistics is structural, not numerical.
 
-Every statistic here, and the score outer product of the sandwich, is
-linear or quadratic in the features (cos uX_k, sin uX_k) on the nodes, so
-the sample enters only through their node sums and their 2Q x 2Q Gram
-matrix.  That is all the evaluator keeps: its memory does not grow with n,
-and is O(Q^2) in the rule's node count (512 KiB at the default 256 nodes,
-128 MiB at 4096).
+Every statistic here is linear or quadratic in the features e^{iuX_k} on
+the nodes, so the sample enters the objective only through the node sums
+of (cos uX_k, sin uX_k) and of their squares and cross product.  That is
+all the evaluator keeps: O(Q) numbers, whatever n is.  The sandwich's
+score outer product is not such a sum at every theta; it is formed in one
+more pass over the sample, at the estimate only.
+
+Both passes read the features through one phase kernel.  A composite
+Gauss-Legendre rule of equal panels puts its folded nodes on a lattice
+u = c_j + d_p of J panel centres and P shared offsets (16 panels of 8 at the
+default rule), so e^{iuX} = e^{i c_j X} e^{i d_p X} costs J + P
+exponentials per observation instead of Q; a rule that is not such a
+lattice is one panel, c = 0 and d = u.
 
 Values, gradients and the sandwich covariance pieces all come from one
 derivative block (1/M, Mdot/M^2) on the nodes: V_n is the weighted sum of
@@ -56,7 +63,7 @@ import numpy as np
 
 from .errors import BadCharacteristicFunction, BadSmoothness, SampleTooSmall
 from .params import EuclideanParam, Sample, m_func
-from .weights import WeightRule
+from .weights import _NODES_PER_PANEL, WeightRule
 
 __all__ = [
     "ContrastConfig",
@@ -74,6 +81,9 @@ __all__ = [
 
 # entries of one block of an observation-by-node or point-by-node matrix
 _BLOCK_ELEMENTS = 2 ** 19
+# a node more than this many units in the last place of the largest node off
+# the panel lattice sends the rule to the one-panel path (see `_lattice`)
+_LATTICE_ULPS = 8
 
 
 def _blocks(count: int, width: int):
@@ -97,6 +107,42 @@ class ContrastConfig:
 def _window(cfg: ContrastConfig) -> np.ndarray:
     """Mask of the rule's nodes inside the truncation window |u| <= 1/trunc_h."""
     return np.abs(cfg.weight_rule.nodes) <= (1.0 / cfg.trunc_h) * (1.0 + 1e-12)
+
+
+def _lattice(u: np.ndarray):
+    """Panel centres c and offsets d with u[j P + p] = c[j] + d[p], for sorted nodes u.
+
+    The lattice of P = _NODES_PER_PANEL offsets d = u[:P] and centres
+    c[j] = j (u[P] - u[0]) is accepted when it reproduces every node,
+    a last panel cut short included, within _LATTICE_ULPS units in the
+    last place of max u; otherwise the rule is one panel, c = [0], d = u.
+    The lattice is read from the node values alone, so two rules with the
+    same nodes take the same path.
+    """
+    p = _NODES_PER_PANEL
+    if u.size > p:
+        c = np.arange(-(-u.size // p)) * (u[p] - u[0])
+        lattice = np.add.outer(c, u[:p]).ravel()[:u.size]
+        if np.max(np.abs(lattice - u)) <= _LATTICE_ULPS * np.spacing(u[-1]):
+            return c, u[:p].copy()
+    return np.zeros(1), u
+
+
+def _phases(x: np.ndarray, c: np.ndarray, d: np.ndarray):
+    """Centre and offset phases exp(i outer(x, c)) and exp(i outer(x, d)), (B, J) and (B, P).
+
+    Every entry is its own cos and sin, not a recurrence, so its rounding
+    does not grow with the number of panels.  e^{i u X_k} at node
+    u = c[j] + d[p] is the product of entries (k, j) and (k, p).
+    """
+    out = []
+    for nodes in (c, d):
+        arg = np.outer(x, nodes)
+        e = np.empty(arg.shape, dtype=complex)
+        np.cos(arg, out=e.real)
+        np.sin(arg, out=e.imag)
+        out.append(e)
+    return out
 
 
 def default_trunc_h(n: int, beta_assumed: float = 1.0, cutoff: float = 30.0) -> float:
@@ -212,12 +258,15 @@ class ContrastEvaluator:
     weight_factor, if given, multiplies the rule weights node-wise (used by
     the estimator to fold characteristic-function smoothing into the
     objective).  One pass over blocks of observations keeps the node sums
-    S_re, S_im of the features v_k = (cos uX_k, sin uX_k) and their Gram
-    matrix G = sum_k v_k v_k^T, of shape (2Q, 2Q), and nothing of size n; the
-    pair statistic's diagonal sums are diagonals of G.  Every value,
-    gradient and sandwich piece starts from the module's one helper
-    `_block`, which returns the derivative block (1/M, Mdot/M^2) of shape
-    (Q,) and (3, Q) and its node sums sum_k Im(z e^{iuX_k}) =
+    S_re, S_im of the features (cos uX_k, sin uX_k) and the node sums
+    Q_rr, Q_ii, Q_ri of cos^2, sin^2 and cos * sin that the pair statistic's
+    diagonal needs, O(Q) numbers in all and nothing of size n.  The features
+    come from the panel lattice (c, d) of the nodes (see `_lattice` and
+    `_phases`): the node sums are C^T O, with C and O a block's centre and
+    offset phases, and the squares come from sum_k e^{2iuX_k} = (C o C)^T (O o O).
+    Every value, gradient and sandwich piece starts from the module's one
+    helper `_block`, which returns the derivative block (1/M, Mdot/M^2) of
+    shape (Q,) and (3, Q) and its node sums sum_k Im(z e^{iuX_k}) =
     Im z * S_re + Re z * S_im;
     `plugin` is the value of `plugin_value_gradient`.  In least-squares form
     the plug-in objective is V_n = r^T W r with residual
@@ -243,19 +292,23 @@ class ContrastEvaluator:
         self.u, self._fold = np.unique(np.abs(rule.nodes[self._mask]), return_inverse=True)
         self.w = self._folded_weights(weight_factor)
         self.n = sample.n
+        self._c, self._d = _lattice(self.u)
         q = self.u.size
-        sums = gram = 0.0        # the first block's arrays replace these
+        sums = sq = 0.0          # the first block's arrays replace these
         for blk in _blocks(sample.n, 2 * q):
-            arg = np.outer(self.u, sample.values[blk])
-            v = np.empty((2 * q, arg.shape[1]))         # rows cos(uX_k), then sin(uX_k)
-            np.cos(arg, out=v[:q])
-            np.sin(arg, out=v[q:])
-            sums += v.sum(axis=1)
-            gram += v @ v.T
-        self._s_re, self._s_im = sums[:q], sums[q:]
-        self._gram = gram
-        self._q_rr, self._q_ii = gram.diagonal()[:q], gram.diagonal()[q:]
-        self._q_ri = gram.diagonal(q)
+            cen, off = _phases(sample.values[blk], self._c, self._d)
+            sums += cen.T @ off
+            sq += (cen * cen).T @ (off * off)
+        sums, sq = sums.ravel()[:q], sq.ravel()[:q]
+        self._s_re, self._s_im = sums.real.copy(), sums.imag.copy()
+        # cos^2 = (1 + cos 2uX)/2, sin^2 = (1 - cos 2uX)/2, cos sin = sin(2uX)/2
+        self._q_rr, self._q_ii = 0.5 * (sample.n + sq.real), 0.5 * (sample.n - sq.real)
+        self._q_ri = 0.5 * sq.imag
+
+    def _features(self, x: np.ndarray) -> np.ndarray:
+        """e^{iuX_k} on the folded nodes for a block of observations x, shape (B, Q)."""
+        cen, off = _phases(x, self._c, self._d)
+        return (cen[:, :, None] * off[:, None, :]).reshape(x.size, -1)[:, :self.u.size]
 
     def _block(self, theta: EuclideanParam):
         """The module's `_block` on this sample's node sums: inv, c, s_inv, s_c."""
@@ -308,21 +361,35 @@ class ContrastEvaluator:
         return _plugin_gradient_hessian(self.u, self.w, self._s_re, self._s_im, self.n,
                                         theta.p, theta.alpha, theta.beta)[1]
 
-    def information_and_score(self, theta: EuclideanParam):
+    def information_and_score(self, theta: EuclideanParam, x: np.ndarray):
         """Sandwich pieces (info, v_hat) of the plug-in contrast at theta, each (3, 3).
 
-        info = 2 J W J^T is the contrast's Gauss-Newton curvature.  The
-        per-observation score U_k = -4 J W Im(e^{iuX_k}/M) is C v_k up to the
-        factor -4, with C = [J W Im(1/M), J W Re(1/M)] of shape (3, 2Q), so
-        v_hat = sum_k U_k U_k^T / (4n) = 4 C G C^T / n reads only the Gram
-        matrix G.
+        x is the sample this evaluator was built from.  info = 2 J W J^T is
+        the contrast's Gauss-Newton curvature.  The per-observation score is
+        U_k = -4 J W Im(e^{iuX_k}/M) = -4 Im sum_q z_q e^{iu_q X_k} with
+        z = J W / M, of shape (3, Q), and v_hat = sum_k U_k U_k^T / (4n) is
+        summed in one pass over blocks of x.  On the lattice the sum over
+        nodes is sum_j C_kj (O_k G^T)_rj, with C and O the phases of
+        `_phases` and G the rows of z cut into panels, one row per (r, j) of
+        shape (P,), so the (B, Q) phases are never formed.
         """
+        if np.shape(x) != (self.n,):
+            raise ValueError(f"x must hold the evaluator's {self.n} observations")
         inv, _, _, s_c = self._block(theta)
         jac = -s_c / self.n
         jw = jac * self.w
         info = 2.0 * jw @ jac.T
-        cm = np.concatenate([jw * inv.imag, jw * inv.real], axis=1)
-        return info, 4.0 * cm @ self._gram @ cm.T / self.n
+        j, q = self._c.size, self.u.size
+        z = np.zeros((3, j * self._d.size), dtype=complex)
+        z[:, :q] = jw * inv
+        g = z.reshape(3 * j, -1)
+        score = np.zeros((3, 3))
+        for blk in _blocks(self.n, 2 * q):
+            cen, off = _phases(x[blk], self._c, self._d)
+            t = (off @ g.T).reshape(-1, 3, j)
+            u_k = np.matmul(t, cen[:, :, None])[..., 0].imag
+            score += u_k.T @ u_k
+        return info, 4.0 * score / self.n
 
 
 def empirical_contrast(sample: Sample, theta: EuclideanParam, cfg: ContrastConfig) -> float:

@@ -32,13 +32,13 @@ the default configuration and the smoothing factor both come, the contrast
 configuration and the fit objective's evaluator.  `fit`,
 `asymptotic_covariance`, `leave_one_out_thetas` and `symmix scan` each
 build it once and pass it down.  It is not kept on the FitResult: the
-evaluator's Gram matrix is 512 KiB at the default rule, against under
-1 KiB for the result, and a caller may keep thousands of results.
+centred sample is n floats, 400 KiB at n = 50,000, against under 1 KiB for
+the result, and a caller may keep thousands of results.
 
 The plug-in sandwich covariance I^{-1} V I^{-1} takes both pieces from
 `ContrastEvaluator.information_and_score` on the same smoothed evaluator:
 I = 2 J W J^T from the contrast's Jacobian and V from the per-observation
-scores, formed from the evaluator's Gram matrix without reading the data.
+scores, summed in one pass over the frame's centred sample at the estimate.
 """
 
 from __future__ import annotations
@@ -200,8 +200,9 @@ class _Frame:
     `centred` is the sample minus its median `m` (see `_centred`), `scale`
     its robust scale, `ccfg` the contrast configuration (by default the one
     of that scale) and `ev` the fit objective's evaluator, smoothed at that
-    scale.  Built by `_frame` and passed to what needs it; never kept on a
-    FitResult (see the module docstring).
+    scale; the covariance reads the centred sample again.  Built by `_frame`
+    and passed to what needs it; never kept on a FitResult (see the module
+    docstring).
     """
 
     centred: Sample
@@ -283,7 +284,7 @@ def _fit(frame: _Frame, cfg: FitConfig) -> FitResult:
     tol_agree = 1e-3 * max(1.0, float(np.max(np.abs(ref))))
     agree = sum(bool(np.max(np.abs(np.array(c["theta"]) - ref)) <= tol_agree) for c in valid)
 
-    cov, sigma_form = _covariance_with_fallback(ev, at)
+    cov, sigma_form = _covariance_with_fallback(ev, at, frame.centred.values)
     std_errors = np.sqrt(np.maximum(np.diag(cov), 0.0) / ev.n)
 
     manifest = {
@@ -329,19 +330,21 @@ def asymptotic_covariance(sample: Sample, theta_hat: EuclideanParam,
     if form not in ("sandwich", "stated"):
         raise ValueError(f"unknown form {form!r}")
     frame = _frame(sample, ccfg)
-    return _sandwich(frame.ev, _shift(theta_hat, -frame.m),
+    return _sandwich(frame.ev, _shift(theta_hat, -frame.m), frame.centred.values,
                      fallback=False, stated=form == "stated")[0]
 
 
-def _sandwich(ev: ContrastEvaluator, theta: EuclideanParam, fallback: bool,
+def _sandwich(ev: ContrastEvaluator, theta: EuclideanParam, x: np.ndarray, fallback: bool,
               stated: bool = False):
     """Symmetrized I^{-1} V I^{-1} (I^{-1} V I when `stated`) and the form used.
+
+    x is the sample `ev` was built from, read once for the scores.
 
     An information matrix with condition number above 1e12 is inverted by
     pinv when `fallback` ("sandwich-pinv"); otherwise it raises
     SingularInformation.
     """
-    info, v_hat = ev.information_and_score(theta)
+    info, v_hat = ev.information_and_score(theta, x)
     cond = np.linalg.cond(info)
     if cond > 1e12:
         if not fallback:
@@ -356,9 +359,9 @@ def _sandwich(ev: ContrastEvaluator, theta: EuclideanParam, fallback: bool,
     return 0.5 * (cov + cov.T), form
 
 
-def _covariance_with_fallback(ev: ContrastEvaluator, theta: EuclideanParam):
+def _covariance_with_fallback(ev: ContrastEvaluator, theta: EuclideanParam, x: np.ndarray):
     """The fit's sandwich covariance, by pinv when the information is ill-conditioned."""
-    return _sandwich(ev, theta, fallback=True)
+    return _sandwich(ev, theta, x, fallback=True)
 
 
 def _loo_scales(x: np.ndarray) -> np.ndarray:
@@ -398,24 +401,24 @@ def _newton_refits(frame: _Frame, scales: np.ndarray, start: EuclideanParam, box
     """Every leave-one-out refit of the fit objective, by batched Newton from `start`.
 
     The frame's evaluator gives the node sums S of the full centred sample;
-    refit k uses S - (cos uX_k, sin uX_k) and the smoothed weights of the
-    n - 1 remaining observations, which differ from the full sample's only
-    through their robust scale, scales[k], so all n refits are one batched
-    problem.  Each runs Newton steps on the exact Hessian until its step is
-    at rounding level.  The batch runs in blocks of about
-    _BLOCK_ELEMENTS / (36 Q) refits, so the Hessian's working set stays near
-    _BLOCK_ELEMENTS reals whatever n is.  Returns the refits, shape (n, 3),
-    and a flag per refit that is False where it did not converge within
-    _NEWTON_MAX_ITER steps, met a Hessian that is not positive definite, or
-    ended outside the p-box.
+    refit k uses S - e^{iuX_k}, from the evaluator's own phase kernel, and
+    the smoothed weights of the n - 1 remaining observations, which differ
+    from the full sample's only through their robust scale, scales[k], so
+    all n refits are one batched problem.  Each runs Newton steps on the
+    exact Hessian until its step is at rounding level.  The batch runs in
+    blocks of about _BLOCK_ELEMENTS / (36 Q) refits, so the Hessian's
+    working set stays near _BLOCK_ELEMENTS reals whatever n is.  Returns
+    the refits, shape (n, 3), and a flag per refit that is False where it
+    did not converge within _NEWTON_MAX_ITER steps, met a Hessian that is
+    not positive definite, or ended outside the p-box.
     """
     ev, x, n = frame.ev, frame.centred.values, frame.centred.n
     thetas = np.tile(start.as_array(), (n, 1))
     ok = np.zeros(n, dtype=bool)
     # about six (block, 3, Q) complex arrays are alive at once in the Hessian
     for blk in _blocks(n, 36 * ev.u.size):
-        arg = np.outer(x[blk], ev.u)
-        s_re, s_im = ev._s_re - np.cos(arg), ev._s_im - np.sin(arg)
+        e = ev._features(x[blk])
+        s_re, s_im = ev._s_re - e.real, ev._s_im - e.imag
         w = ev._folded_weights(_smoothing_factor(frame.ccfg, n - 1, scales[blk, None]))
         th, done = thetas[blk], ok[blk]          # views: written in place
         live = np.arange(th.shape[0])

@@ -304,7 +304,7 @@ def test_folded_nodes_equal_full_node_evaluation(rule, n, budget, monkeypatch):
     sample = gauss_sample(n)
     theta = EuclideanParam(0.3, -0.5, 1.7)
     ev = ContrastEvaluator(sample, cfg, weight_factor=factor)
-    if budget < DEFAULT_BUDGET:     # the evaluator reads (2Q, block) feature matrices
+    if budget < DEFAULT_BUDGET:     # the evaluator's passes take blocks sized for (2Q, block)
         assert len(contrast._blocks(n, 2 * ev.u.size)) >= 3
     assert np.all(ev.u >= 0.0) and np.all(np.diff(ev.u) > 0.0)
     assert ev.u.size == np.unique(np.abs(rule.nodes)).size < rule.nodes.size
@@ -333,12 +333,12 @@ def test_folded_nodes_equal_full_node_evaluation(rule, n, budget, monkeypatch):
     assert close(grad, plugin_grad)
     assert close(ev.u_statistic(theta), pair)
     assert close(ev.u_statistic_gradient(theta), pair_grad)
-    got_info, got_v_hat = ev.information_and_score(theta)
+    got_info, got_v_hat = ev.information_and_score(theta, sample.values)
     assert close(got_info, info) and close(got_v_hat, v_hat)
 
 
 def test_evaluator_state_does_not_grow_with_n():
-    # node sums and the Gram matrix of (cos uX_k, sin uX_k): nothing of size n
+    # node sums of (cos uX_k, sin uX_k) and of their squares: nothing of size n
     def kept(n):
         ev = ContrastEvaluator(gauss_sample(n), CFG)
         return sum(getattr(v, "nbytes", 0) for v in vars(ev).values())
@@ -346,6 +346,82 @@ def test_evaluator_state_does_not_grow_with_n():
     small = kept(1_000)
     assert small == kept(100_000)
     assert small < 4 * (2 * 128) ** 2 * 8
+
+
+def _jittered_table():
+    """The default rule's nodes moved off its panel lattice by about 1e-9 relative, +-u alike."""
+    half = 1.0 + 1e-9 * replication_rng(5, 0).standard_normal(RULE.nodes.size // 2)
+    jitter = np.concatenate([half[::-1], half])
+    return build_weight_rule("user_table", table=(RULE.nodes * jitter, RULE.weights))
+
+
+# (rule, cutoff of the truncation window, panels J and offsets P of the lattice found)
+@pytest.mark.parametrize("rule, window, panels", [
+    (build_weight_rule("laplace_default", 256, 0.5), 0.5, (16, 8)),
+    (build_weight_rule("laplace_default", 256, 3.64), 3.64, (16, 8)),
+    (RULE, 30.0, (16, 8)),
+    (RULE, 10.0, (6, 8)),           # the window keeps 43 nodes: 5 panels and 3 of a sixth
+    (build_weight_rule("laplace_default", 100, 30.0), 30.0, (1, 50)),   # panels of 9 and 8
+    (_asymmetric_table(), 30.0, (16, 8)),     # folds onto the default rule's nodes
+    (_jittered_table(), 30.0, (1, 128)),
+], ids=["default-0.5", "default-3.64", "default-30", "cut-panel", "uneven-100",
+        "asymmetric", "jittered"])
+def test_panel_phases_equal_literal_features(rule, window, panels):
+    cfg = ContrastConfig(rule, trunc_h=1.0 / window)
+    sample = gauss_sample(500)
+    ev = ContrastEvaluator(sample, cfg)
+    assert (ev._c.size, ev._d.size) == panels
+    if panels[0] > 1:
+        assert ev._c.size * ev._d.size - ev.u.size < ev._d.size
+
+    x, n = sample.values, sample.n
+    arg = np.outer(x, ev.u)
+    cos, sin = np.cos(arg), np.sin(arg)                         # (n, Q)
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    assert close(ev._s_re, cos.sum(axis=0)) and close(ev._s_im, sin.sum(axis=0))
+    assert close(ev._q_rr, (cos * cos).sum(axis=0)) and close(ev._q_ii, (sin * sin).sum(axis=0))
+    assert close(ev._q_ri, (cos * sin).sum(axis=0))
+    assert close(ev._features(x[:50]), cos[:50] + 1j * sin[:50])
+    theta = EuclideanParam(0.3, -0.5, 1.7)
+    inv, _, _, s_c = ev._block(theta)
+    z = -s_c / n * ev.w * inv                # U_k = -4 Im sum_q z_q e^{iu_q X_k}
+    u_k = -4.0 * (cos @ z.imag.T + sin @ z.real.T)
+    assert close(ev.information_and_score(theta, x)[1], u_k.T @ u_k / (4.0 * n))
+
+
+def test_evaluator_state_is_linear_in_rule_nodes():
+    # no (2Q, 2Q) matrix: 128 MiB at 4,096 nodes
+    rule = build_weight_rule("laplace_default", 4096, 30.0)
+    ev = ContrastEvaluator(gauss_sample(1_000), ContrastConfig(rule, trunc_h=1.0 / 30.0))
+    arrays = [v for v in vars(ev).values() if isinstance(v, np.ndarray)]
+    assert ev.u.size == 2048 and (ev._c.size, ev._d.size) == (256, 8)
+    assert max(a.size for a in arrays) <= rule.nodes.size
+    assert sum(a.nbytes for a in arrays) <= 64 * rule.nodes.size
+
+
+def test_fit_memory_with_4096_node_rule():
+    import tracemalloc
+
+    from symmix import fit
+    from symmix.cli import rainfall_path, read_numeric_csv
+    from symmix.estimator import _centred, robust_scale
+    from symmix.weights import scale_aware_cutoff
+
+    sample = Sample(read_numeric_csv(rainfall_path()))
+    cutoff = scale_aware_cutoff(robust_scale(_centred(sample)[0].values))
+    ccfg = ContrastConfig(build_weight_rule("laplace_default", 4096, cutoff),
+                          default_trunc_h(sample.n, cutoff=cutoff))
+    tracemalloc.start()
+    try:
+        res = fit(sample, ccfg=ccfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    assert np.all(np.isfinite(res.std_errors))
 
 
 # ------------------------------------------------------------------- Hessian

@@ -204,10 +204,11 @@ def test_covariance_memory_stays_below_one_score_matrix():
     from symmix.estimator import _covariance_with_fallback, _frame
 
     sample = gauss_sample(20_000, rep=7)
-    ev = _frame(sample).ev
+    frame = _frame(sample)
+    ev = frame.ev
     tracemalloc.start()
     try:
-        cov, form = _covariance_with_fallback(ev, THETA0)
+        cov, form = _covariance_with_fallback(ev, THETA0, frame.centred.values)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -237,12 +238,12 @@ def test_ill_conditioned_information_falls_back_or_raises():
     from symmix.estimator import _covariance_with_fallback, _sandwich
 
     info = np.diag([1.0, 1.0, 1e-14])
-    ev = SimpleNamespace(information_and_score=lambda theta: (info, np.eye(3)))
-    cov, form = _covariance_with_fallback(ev, THETA0)
+    ev = SimpleNamespace(information_and_score=lambda theta, x: (info, np.eye(3)))
+    cov, form = _covariance_with_fallback(ev, THETA0, None)
     assert form == "sandwich-pinv"
     assert np.array_equal(cov, np.diag([1.0, 1.0, 0.0]))
     with pytest.raises(SingularInformation, match="1e\\+14 exceeds 1e12"):
-        _sandwich(ev, THETA0, fallback=False)
+        _sandwich(ev, THETA0, None, fallback=False)
 
 
 def test_large_sample_within_four_plugin_ses():

@@ -124,8 +124,8 @@ def test_scan_builds_one_evaluator_and_two_scales(tmp_path, monkeypatch):
 
 
 def test_fit_result_keeps_no_frame():
-    # perfbench keeps every fit's output; an evaluator on it would keep its
-    # 512 KiB Gram matrix, and a centred sample 400 KB at this n
+    # perfbench keeps every fit's output; a frame on it would keep the
+    # centred sample, 400 KB at this n
     rng = np.random.default_rng(3)
     x = np.where(rng.random(50_000) < 0.25, -1.0, 2.0) + rng.standard_normal(50_000)
     assert len(pickle.dumps(symmix.fit(symmix.Sample(x)))) < 4096

@@ -100,6 +100,8 @@ class ContrastConfig:
     trunc_h: float
 
     def __post_init__(self):
+        if not math.isfinite(self.trunc_h):
+            raise ValueError("trunc_h must be finite")
         if not self.trunc_h > 0.0:
             raise ValueError("trunc_h must be positive")
 
@@ -143,6 +145,11 @@ def _phases(x: np.ndarray, c: np.ndarray, d: np.ndarray):
         np.sin(arg, out=e.imag)
         out.append(e)
     return out
+
+
+def _lattice_values(cen: np.ndarray, off: np.ndarray, q: int) -> np.ndarray:
+    """Entries (k, j) times (k, p) of centre and offset factors on the first q nodes, (B, q)."""
+    return (cen[:, :, None] * off[:, None, :]).reshape(cen.shape[0], -1)[:, :q]
 
 
 def default_trunc_h(n: int, beta_assumed: float = 1.0, cutoff: float = 30.0) -> float:
@@ -307,8 +314,7 @@ class ContrastEvaluator:
 
     def _features(self, x: np.ndarray) -> np.ndarray:
         """e^{iuX_k} on the folded nodes for a block of observations x, shape (B, Q)."""
-        cen, off = _phases(x, self._c, self._d)
-        return (cen[:, :, None] * off[:, None, :]).reshape(x.size, -1)[:, :self.u.size]
+        return _lattice_values(*_phases(x, self._c, self._d), self.u.size)
 
     def _block(self, theta: EuclideanParam):
         """The module's `_block` on this sample's node sums: inv, c, s_inv, s_c."""

@@ -14,6 +14,12 @@ trap(u) K*(bu) / (2pi) * ghat*(u) / M(theta, u) per density.  In
 leave-one-out mode the k-th observation carries its own parameter and
 ghat*(u) / M(theta, u) becomes (1/n) sum_k e^{iuX_k} / M(theta_k, u).
 
+The U equispaced nodes are built as a lattice u = c_a + d_p of A panel
+starts and P ~ sqrt(U) offsets, so every phase e^{iuy} is the product
+e^{i c_a y} e^{i d_p y} of two entries of `contrast._phases`, the phase
+kernel the contrast evaluator uses: a data point, a leave-one-out location
+or an output point costs A + P exponentials instead of U.
+
 The data and the locations are first centred at the sample median m.  Each
 ratio e^{iuX} / M(theta, u) is unchanged by a common shift, so f_n is the
 same in exact arithmetic, but the phases stay of the order of the data's
@@ -37,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contrast import _blocks
+from .contrast import _blocks, _lattice_values, _phases
 from .errors import BadSmoothness, EmptyPositivePart
 from .estimator import _centred, _shift
 from .params import EuclideanParam, Sample, m_func
@@ -67,10 +73,14 @@ class DensityConfig:
     theta_mode: str = "full_sample"      # or "leave_one_out"
 
     def __post_init__(self):
+        if not math.isfinite(self.bandwidth):
+            raise ValueError("bandwidth must be finite")
         if not self.bandwidth > 0.0:
             raise ValueError("bandwidth must be positive")
         if self.grid is not None:
             x_min, x_max, points = self.grid
+            if not (math.isfinite(x_min) and math.isfinite(x_max)):
+                raise ValueError("grid bounds must be finite")
             if not x_min < x_max:
                 raise ValueError("grid needs x_min < x_max")
             if int(points) < 16:
@@ -147,20 +157,22 @@ def default_grid(sample: Sample, theta: EuclideanParam, bandwidth: float,
     return np.linspace(-lim, lim, points)
 
 
-def _u_grid(bandwidth: float, max_phase_arg: float) -> tuple[np.ndarray, float]:
-    """Trapezoid nodes on [0, U_f] resolving the fastest cosine in the integrand."""
+def _u_grid(bandwidth: float, max_phase_arg: float) -> tuple[np.ndarray, tuple]:
+    """Trapezoid nodes on [0, U_f] resolving the fastest cosine in the integrand, and their lattice.
+
+    The U nodes u_i = i du are built as the lattice u[a P + p] = c[a] + d[p]
+    of P = ceil(sqrt(U)) offsets d[p] = p du and A = ceil(U / P) panel
+    starts c[a] = a P du, the last panel cut short at U.  Returns u and
+    the pair (c, d).
+    """
     u_max = math.sqrt(2.0 * math.log(1.0 / _TAIL_EPS)) / bandwidth
     du_target = 2.0 * math.pi / (16.0 * max(max_phase_arg, 1.0))
     count = int(min(_MAX_U_NODES, max(_MIN_U_NODES, math.ceil(u_max / du_target) + 1)))
-    return np.linspace(0.0, u_max, count), u_max
-
-
-def _unit_phases(arg: np.ndarray) -> np.ndarray:
-    """e^{i arg}, its cosine and sine written into one complex buffer."""
-    out = np.empty(arg.shape, dtype=complex)
-    np.cos(arg, out=out.real)
-    np.sin(arg, out=out.imag)
-    return out
+    du = u_max / (count - 1)
+    p = math.isqrt(count - 1) + 1
+    c = np.arange(-(-count // p)) * p * du
+    d = np.arange(p) * du
+    return np.add.outer(c, d).ravel()[:count], (c, d)
 
 
 def deconvolved_density_values(sample: Sample, theta: EuclideanParam,
@@ -174,8 +186,16 @@ def deconvolved_density_values(sample: Sample, theta: EuclideanParam,
     R(u) = (1/n) sum_k e^{iuX_k} / M(theta_k, u), which is the exact
     cross-validated form.  Data and locations are centred at the sample
     median first; xs are points of the component's own coordinate and are
-    not shifted.  Observation and point sums run over blocks of about
-    _BLOCK_ELEMENTS matrix entries, so memory does not grow with n or xs.
+    not shifted.
+
+    Every phase comes from `contrast._phases` on the u-grid's lattice
+    u = c_a + d_p (see `_u_grid`): e^{iuy} = e^{i c_a y} e^{i d_p y}, so a
+    data point, a leave-one-out location or an output point costs A + P
+    exponentials instead of U.  ghat* is C^T O over blocks of observations,
+    and f_n(x) = 2 Re sum_a e^{-i c_a x} sum_p G_ap e^{-i d_p x} with G the
+    coefficient vector cut into panels, zero beyond the last node.
+    Observation and point sums run over blocks of about _BLOCK_ELEMENTS / U
+    rows, so memory does not grow with n or xs.
     """
     xs = np.asarray(xs, dtype=float)
     if loo_thetas is not None and len(loo_thetas) != sample.n:
@@ -184,30 +204,37 @@ def deconvolved_density_values(sample: Sample, theta: EuclideanParam,
     x_data = centred.values
     at = _shift(theta, -m)
     arg_bound = np.max(np.abs(x_data)) + np.max(np.abs(xs)) + max(abs(at.alpha), abs(at.beta))
-    u, _ = _u_grid(bandwidth, arg_bound)
+    u, (c, d) = _u_grid(bandwidth, arg_bound)
     trap = np.full(u.size, u[1] - u[0])
     trap[0] *= 0.5
     trap[-1] *= 0.5
     damp = np.exp(-0.5 * (bandwidth * u) ** 2) / (2.0 * math.pi)
 
-    ratio = np.zeros(u.size, dtype=complex)
     if loo_thetas is None:
+        sums = 0.0               # the first block's (A, P) array replaces this
         for blk in _blocks(sample.n, u.size):
-            ratio += _unit_phases(np.outer(u, x_data[blk])).sum(axis=1)
-        ratio /= m_func(at, u)
+            cen, off = _phases(x_data[blk], c, d)
+            sums += cen.T @ off
+        ratio = sums.ravel()[:u.size] / m_func(at, u)
     else:
         # e^{iuX_k} / M(theta_k, u) = 1 / (p_k e^{iu(alpha_k-X_k)} + (1-p_k) e^{iu(beta_k-X_k)})
         p_k, a_k, b_k = np.array([th.as_array() for th in loo_thetas]).T
         a_k, b_k = a_k - sample.values, b_k - sample.values
+        ratio = np.zeros(u.size, dtype=complex)
         for blk in _blocks(sample.n, u.size):
-            shifted_m = (p_k[blk] * _unit_phases(np.outer(u, a_k[blk]))
-                         + (1.0 - p_k[blk]) * _unit_phases(np.outer(u, b_k[blk])))
-            ratio += (1.0 / shifted_m).sum(axis=1)
-    coef = trap * damp * ratio / sample.n
+            cen_a, off_a = _phases(a_k[blk], c, d)
+            cen_b, off_b = _phases(b_k[blk], c, d)
+            shifted_m = (_lattice_values(p_k[blk, None] * cen_a, off_a, u.size)
+                         + _lattice_values((1.0 - p_k[blk, None]) * cen_b, off_b, u.size))
+            ratio += (1.0 / shifted_m).sum(axis=0)
+    coef = np.zeros(c.size * d.size, dtype=complex)
+    coef[:u.size] = trap * damp * ratio / sample.n
+    panels = coef.reshape(c.size, d.size)
 
     out = np.empty(xs.size)
     for blk in _blocks(xs.size, u.size):
-        out[blk] = 2.0 * (_unit_phases(np.outer(xs[blk], -u)) @ coef).real
+        cen, off = _phases(-xs[blk], c, d)
+        out[blk] = 2.0 * np.einsum("ba,ba->b", cen, off @ panels.T).real
     return out
 
 

@@ -7,15 +7,17 @@ k-th absolute moment is k! (so 1, 2, 6 for k = 1, 2, 3) -- handy analytic
 oracles for the rule.
 
 A rule is composite Gauss-Legendre on [-cutoff, cutoff] with the density
-folded into the weights: panels of at most 8 nodes per half-axis, mirrored
-so the node set is symmetric about zero.  The density is smooth inside each
-half-axis (the |u| kink sits on a panel boundary), so the rule converges
-geometrically for smooth integrands.
+folded into the weights: the m nodes of a half-axis go to m // 8 equal
+panels of 8 to 15 nodes each (16 panels of 8 at the default 256 nodes),
+mirrored so the node set is symmetric about zero.  The density is smooth
+inside each half-axis (the |u| kink sits on a panel boundary), so the rule
+converges geometrically for smooth integrands.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -99,7 +101,12 @@ def _legendre(count: int):
 
 
 def _half_axis_panels(m: int, cutoff: float):
-    """Split m nodes over equal panels of (0, cutoff], at most 8 nodes each."""
+    """Split m >= 8 nodes over k = m // 8 equal panels of (0, cutoff].
+
+    Each panel holds m // k or m // k + 1 nodes, the larger counts first:
+    8 each when m is a multiple of 8, up to 15 otherwise (m = 15 is one
+    panel of 15, m = 20 two panels of 10).
+    """
     k = max(1, m // _NODES_PER_PANEL)
     counts = [m // k] * k
     for i in range(m % k):
@@ -139,6 +146,8 @@ def build_weight_rule(density_id: str = "laplace_default",
         raise BadWeightSpec(f"unknown density_id {density_id!r}")
     if node_count < 16 or node_count % 2 != 0:
         raise ValueError("node_count must be an even integer >= 16")
+    if not math.isfinite(cutoff):
+        raise ValueError("cutoff must be finite")
     if not cutoff > 0.0:
         raise ValueError("cutoff must be positive")
 

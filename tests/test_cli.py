@@ -290,8 +290,14 @@ SIM = ["simulate", "--family", "gauss", "--theta0", "0.25,-1,2", "--n", "60", "-
     (["fit", "CONST"], "sample has zero dispersion"),
     (["fit", "CONST", "--cutoff", "5"], "sample has zero dispersion"),
     (SIM + ["--jobs", "0"], "--jobs must be >= 1, got 0"),
+    (["fit", "RAIN", "--cutoff", "inf"], "cutoff must be finite"),
+    (["fit", "RAIN", "--trunc-h", "inf"], "trunc_h must be finite"),
+    (["density", "RAIN", "--bandwidth", "inf"], "bandwidth must be finite"),
+    (["density", "RAIN", "--grid", "0:inf:64"], "grid bounds must be finite"),
+    (["density", "RAIN", "--grid=-inf:0:64"], "grid bounds must be finite"),
 ], ids=["fit-starts", "simulate-starts", "weight-nodes", "cutoff", "trunc-h", "bandwidth",
-        "grid", "constant", "constant-cutoff", "jobs"])
+        "grid", "constant", "constant-cutoff", "jobs", "cutoff-inf", "trunc-h-inf",
+        "bandwidth-inf", "grid-hi-inf", "grid-lo-inf"])
 def test_invalid_flag_values_exit_2(rainfall, tmp_path, capsys, argv, message):
     const = tmp_path / "const.csv"
     const.write_text("5.0\n" * 12)

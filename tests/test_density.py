@@ -192,6 +192,35 @@ def test_empty_positive_part():
                          DensityConfig(bandwidth=cfg.bandwidth, grid=(lo, hi, 17)))
 
 
+# (bandwidth, max_phase_arg) and the node count of linspace(0, u_max, count)
+# with count = clip(ceil(u_max / du_target) + 1, 512, 16384): the lower and
+# upper clamps, counts that are and are not multiples of the lattice's P =
+# ceil(sqrt(count)), and two near rainfall's grids at xs and xs - beta
+U_GRID_COUNTS = [
+    ((0.1, 0.0), 512),
+    ((0.5, 1.0), 512),
+    ((0.02, 1000.0), 16384),
+    ((0.25, 35.0), 2652),
+    ((0.2, 30.0), 2841),
+    ((0.69, 84.5), 2320),
+    ((0.69, 123.5), 3390),
+]
+
+
+@pytest.mark.parametrize("args, count", U_GRID_COUNTS)
+def test_u_grid_is_a_lattice_of_equispaced_nodes(args, count):
+    u, (c, d) = density._u_grid(*args)
+    assert u.size == count
+    # the lattice u[a P + p] = c[a] + d[p], its last panel cut short at u.size
+    assert d.size == math.ceil(math.sqrt(count))
+    assert (c.size - 1) * d.size < count <= c.size * d.size
+    assert np.array_equal(u, np.add.outer(c, d).ravel()[:count])
+    u_max = math.sqrt(2.0 * math.log(1.0 / density._TAIL_EPS)) / args[0]
+    ref = np.linspace(0.0, u_max, count)
+    assert np.all(np.abs(u - ref) <= 2.0 * np.spacing(ref))
+    assert u[1] - u[0] == ref[1] - ref[0]
+
+
 def _reference_values(sample, theta, bandwidth, xs, loo_thetas=None):
     """The cosine-integral form as two (U x X) outer products, literally.
 
@@ -240,7 +269,7 @@ def test_one_transform_matches_two_outer_products_on_rainfall(budget, monkeypatc
     theta = fit(sample).theta_hat
     b = default_bandwidth(sample.n)
     xs = default_grid(sample, theta, b)
-    for points in (xs, xs - theta.alpha):
+    for points in (xs, xs - theta.alpha, xs - theta.beta):
         got = deconvolved_density_values(sample, theta, b, points)
         assert np.max(np.abs(got - _reference_values(sample, theta, b, points))) <= 1e-12
 

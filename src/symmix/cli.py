@@ -60,10 +60,9 @@ def _sha256(path: str) -> str:
 
 def _parse_float(token: str) -> float | None:
     try:
-        v = float(token)
+        return float(token)
     except ValueError:
         return None
-    return v
 
 
 def read_numeric_csv(path: str) -> np.ndarray:
@@ -73,7 +72,9 @@ def read_numeric_csv(path: str) -> np.ndarray:
     number in the chosen column.  Errors name the offending line.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops a leading byte-order mark, which would otherwise
+        # spoil the first value and make it look like a header
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
@@ -157,8 +158,11 @@ def _dump(obj: dict) -> str:
 
 
 def _write(path: str, text: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliInputError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit(out: str | None, text: str, meta: dict | None = None):
@@ -247,12 +251,10 @@ def _summary_csv(summary: MCSummary) -> str:
     spec = summary.spec
     head = ("family,n,p0,alpha0,beta0,mean_p,mean_alpha,mean_beta,"
             "sd_p,sd_alpha,sd_beta,failures")
-    means = summary.empirical_means
-    sds = summary.empirical_sds
-    mtxt = ["", "", ""] if means is None else [repr(float(v)) for v in means]
-    stxt = ["", "", ""] if sds is None else [repr(float(v)) for v in sds]
+    mtxt, stxt = (",".join([""] * 3 if v is None else [repr(float(x)) for x in v])
+                  for v in (summary.empirical_means, summary.empirical_sds))
     row = (f"{spec.family},{spec.n},{spec.theta0.p!r},{spec.theta0.alpha!r},"
-           f"{spec.theta0.beta!r},{','.join(mtxt)},{','.join(stxt)},{summary.failures}")
+           f"{spec.theta0.beta!r},{mtxt},{stxt},{summary.failures}")
     return head + "\n" + row + "\n"
 
 
@@ -366,6 +368,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a separate value such as -40:80:301 as an option;
+    # joined to its flag (--grid=-40:80:301) a negative lower bound is a value
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] in ("--grid", "--range"):
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)

@@ -26,22 +26,24 @@ Two empirical criteria are built from it on a weight rule W truncated to
 Both factorize over observations: with v_k = Im psi_k,
 sum_{j != k} v_j v_k = (sum_k v_k)^2 - sum_k v_k^2, so one evaluation costs
 O(Q) after one O(nQ) pass over the sample (Q = active nodes, with +-u
-folded onto |u|; see ContrastEvaluator).  All arithmetic is real; reality
-of the statistics is structural, not numerical.
+folded onto |u|; see ContrastEvaluator).  Every statistic is built from
+imaginary parts: its reality is structural, not numerical.
 
 Every statistic here is linear or quadratic in the features e^{iuX_k} on
-the nodes, so the sample enters the objective only through the node sums
-of (cos uX_k, sin uX_k) and of their squares and cross product.  That is
-all the evaluator keeps: O(Q) numbers, whatever n is.  The sandwich's
-score outer product is not such a sum at every theta; it is formed in one
-more pass over the sample, at the estimate only.
+the nodes, so the sample enters the objective only through the empirical
+characteristic function at u and at 2u, the complex node sums
+S = sum_k e^{iuX_k} and S2 = sum_k e^{2iuX_k}.  That is all the evaluator
+keeps: O(Q) numbers, whatever n is.  The sandwich's score outer product is
+not such a sum at every theta; it is formed in one more pass over the
+sample, at the estimate only.
 
 Both passes read the features through one phase kernel.  A composite
 Gauss-Legendre rule of equal panels puts its folded nodes on a lattice
 u = c_j + d_p of J panel centres and P shared offsets (16 panels of 8 at the
 default rule), so e^{iuX} = e^{i c_j X} e^{i d_p X} costs J + P
 exponentials per observation instead of Q; a rule that is not such a
-lattice is one panel, c = 0 and d = u.
+lattice is one panel, c = 0 and d = u.  The way back, sum_u coef(u) e^{iuy}
+at points y, is the panel transform `_panel_sums`, shared with the density.
 
 Values, gradients and the sandwich covariance pieces all come from one
 derivative block (1/M, Mdot/M^2) on the nodes: V_n is the weighted sum of
@@ -152,6 +154,20 @@ def _lattice_values(cen: np.ndarray, off: np.ndarray, q: int) -> np.ndarray:
     return (cen[:, :, None] * off[:, None, :]).reshape(cen.shape[0], -1)[:, :q]
 
 
+def _panel_sums(coef: np.ndarray, c: np.ndarray, d: np.ndarray, y: np.ndarray, width: int):
+    """sum_u coef[r, u] e^{iuy} on the lattice u = c_j + d_p, per block of `_blocks(y.size, width)`.
+
+    coef (R, q) holds coefficients on the first q nodes, zero-padded to R
+    rows of J panels of P; a point costs J + P exponentials (`_phases`) and
+    no (B, q) array is formed.  Yields (slice, values of shape (B, R)).
+    """
+    g = np.pad(coef, ((0, 0), (0, c.size * d.size - coef.shape[1]))).reshape(-1, d.size)
+    for blk in _blocks(y.size, width):
+        cen, off = _phases(y[blk], c, d)
+        t = (off @ g.T).reshape(-1, len(coef), c.size)
+        yield blk, np.matmul(t, cen[:, :, None])[..., 0]
+
+
 def default_trunc_h(n: int, beta_assumed: float = 1.0, cutoff: float = 30.0) -> float:
     """Truncation parameter h = n^{-1/2} / log n, kept so that 1/h <= cutoff.
 
@@ -176,16 +192,16 @@ def m_dot(theta: EuclideanParam, u: np.ndarray) -> np.ndarray:
     return np.stack([ea - eb, 1j * u * theta.p * ea, 1j * u * (1.0 - theta.p) * eb])
 
 
-def _im_sums(z: np.ndarray, s_re: np.ndarray, s_im: np.ndarray) -> np.ndarray:
-    """sum_k Im(z e^{iuX_k}) node-wise, from the node sums of cos uX_k and sin uX_k."""
-    return z.imag * s_re + z.real * s_im
+def _im_sums(z: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """sum_k Im(z e^{iuX_k}) node-wise, from the node sums s = sum_k e^{iuX_k}."""
+    return z.imag * s.real + z.real * s.imag
 
 
-def _block(u, s_re, s_im, p, alpha, beta):
+def _block(u, s, p, alpha, beta):
     """Derivative block (1/M, Mdot/M^2) on the nodes and its node sums, batched.
 
-    u has shape (Q,); s_re and s_im, of shape (..., Q), are the node sums
-    of (cos uX_k, sin uX_k); p, alpha and beta are scalars or (..., 1)
+    u has shape (Q,); s, of shape (..., Q), holds the node sums
+    sum_k e^{iuX_k}; p, alpha and beta are scalars or (..., 1)
     holding a batch of parameters.  Returns inv = 1/M and c = Mdot/M^2, of
     shapes (..., Q) and (..., 3, Q) with the (p, alpha, beta) rows on the
     second-last axis, s_inv = sum_k Im(inv e^{iuX_k}) and
@@ -197,15 +213,15 @@ def _block(u, s_re, s_im, p, alpha, beta):
     inv = 1.0 / (p * ea + (1.0 - p) * eb)
     mdot = np.stack([ea - eb, iu * p * ea, iu * (1.0 - p) * eb], axis=-2)
     c = mdot * (inv * inv)[..., None, :]
-    s_c = _im_sums(c, s_re[..., None, :], s_im[..., None, :])
-    return inv, c, _im_sums(inv, s_re, s_im), s_c, ea, eb, mdot
+    s_c = _im_sums(c, s[..., None, :])
+    return inv, c, _im_sums(inv, s), s_c, ea, eb, mdot
 
 
-def _plugin_gradient_hessian(u, w, s_re, s_im, n, p, alpha, beta):
+def _plugin_gradient_hessian(u, w, s, n, p, alpha, beta):
     """Gradient and exact Hessian of the plug-in statistic V = r^T W r, batched.
 
-    u has shape (Q,); w, s_re and s_im, of shape (..., Q), are the weights
-    and the node sums of (cos uX_k, sin uX_k) over n observations; p, alpha
+    u has shape (Q,); w and s, of shape (..., Q), are the weights and the
+    node sums sum_k e^{iuX_k} over n observations; p, alpha
     and beta are scalars or (..., 1).  Returns shapes (..., 3) and (..., 3, 3).
 
     With r = sum_k Im(e^{iuX_k}/M)/n and J = -sum_k Im(e^{iuX_k} Mdot/M^2)/n
@@ -217,7 +233,7 @@ def _plugin_gradient_hessian(u, w, s_re, s_im, n, p, alpha, beta):
     The six distinct entries are reduced one at a time, so the working set
     stays at a few arrays of shape (..., 3, Q).
     """
-    inv, _, s_inv, s_c, ea, eb, mdot = _block(u, s_re, s_im, p, alpha, beta)
+    inv, _, s_inv, s_c, ea, eb, mdot = _block(u, s, p, alpha, beta)
     inv2 = inv * inv
     r = s_inv / n
     wr = w * r
@@ -231,7 +247,7 @@ def _plugin_gradient_hessian(u, w, s_re, s_im, n, p, alpha, beta):
         if (i, j) in mddot:
             d -= t * mddot[i, j]
         hess[..., i, j] = hess[..., j, i] = 2.0 * np.sum(
-            w * jac[..., i, :] * jac[..., j, :] + wr * _im_sums(d, s_re, s_im) / n, axis=-1)
+            w * jac[..., i, :] * jac[..., j, :] + wr * _im_sums(d, s) / n, axis=-1)
     return 2.0 * np.sum(jac * wr[..., None, :], axis=-1), hess
 
 
@@ -264,17 +280,15 @@ class ContrastEvaluator:
 
     weight_factor, if given, multiplies the rule weights node-wise (used by
     the estimator to fold characteristic-function smoothing into the
-    objective).  One pass over blocks of observations keeps the node sums
-    S_re, S_im of the features (cos uX_k, sin uX_k) and the node sums
-    Q_rr, Q_ii, Q_ri of cos^2, sin^2 and cos * sin that the pair statistic's
-    diagonal needs, O(Q) numbers in all and nothing of size n.  The features
-    come from the panel lattice (c, d) of the nodes (see `_lattice` and
-    `_phases`): the node sums are C^T O, with C and O a block's centre and
-    offset phases, and the squares come from sum_k e^{2iuX_k} = (C o C)^T (O o O).
+    objective).  One pass over blocks of observations keeps the empirical
+    characteristic function at u and at 2u, the complex node sums
+    S = sum_k e^{iuX_k} = C^T O and S2 = sum_k e^{2iuX_k} = (C o C)^T (O o O),
+    with C and O a block's centre and offset phases on the nodes' panel
+    lattice (see `_lattice` and `_phases`): O(Q) numbers, nothing of size n.
     Every value, gradient and sandwich piece starts from the module's one
     helper `_block`, which returns the derivative block (1/M, Mdot/M^2) of
     shape (Q,) and (3, Q) and its node sums sum_k Im(z e^{iuX_k}) =
-    Im z * S_re + Re z * S_im;
+    Im z * Re S + Re z * Im S; S2 gives the pair statistic's diagonal.
     `plugin` is the value of `plugin_value_gradient`.  In least-squares form
     the plug-in objective is V_n = r^T W r with residual
     r = sum_k Im(e^{iuX_k}/M)/n and Jacobian J = -sum_k Im(e^{iuX_k} Mdot/M^2)/n;
@@ -306,11 +320,7 @@ class ContrastEvaluator:
             cen, off = _phases(sample.values[blk], self._c, self._d)
             sums += cen.T @ off
             sq += (cen * cen).T @ (off * off)
-        sums, sq = sums.ravel()[:q], sq.ravel()[:q]
-        self._s_re, self._s_im = sums.real.copy(), sums.imag.copy()
-        # cos^2 = (1 + cos 2uX)/2, sin^2 = (1 - cos 2uX)/2, cos sin = sin(2uX)/2
-        self._q_rr, self._q_ii = 0.5 * (sample.n + sq.real), 0.5 * (sample.n - sq.real)
-        self._q_ri = 0.5 * sq.imag
+        self._s, self._s2 = sums.ravel()[:q], sq.ravel()[:q]
 
     def _features(self, x: np.ndarray) -> np.ndarray:
         """e^{iuX_k} on the folded nodes for a block of observations x, shape (B, Q)."""
@@ -318,7 +328,7 @@ class ContrastEvaluator:
 
     def _block(self, theta: EuclideanParam):
         """The module's `_block` on this sample's node sums: inv, c, s_inv, s_c."""
-        return _block(self.u, self._s_re, self._s_im, theta.p, theta.alpha, theta.beta)[:4]
+        return _block(self.u, self._s, theta.p, theta.alpha, theta.beta)[:4]
 
     def _folded_weights(self, weight_factor=None) -> np.ndarray:
         """The rule's weights inside the window, times weight_factor if given, folded onto `u`.
@@ -334,9 +344,8 @@ class ContrastEvaluator:
         return out
 
     def _squares(self, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """sum_k Im(y e^{iuX_k}) Im(z e^{iuX_k}) node-wise, broadcasting like `_im_sums`."""
-        return (y.imag * z.imag) * self._q_rr + (y.imag * z.real + y.real * z.imag) * self._q_ri \
-            + (y.real * z.real) * self._q_ii
+        """sum_k Im(y e^{iuX_k}) Im(z e^{iuX_k}) = (n Re(y conj z) - Re(y z S2)) / 2 node-wise."""
+        return 0.5 * (self.n * (y * z.conj()).real - (y * z * self._s2).real)
 
     def u_statistic(self, theta: EuclideanParam) -> float:
         """Diagonal-removed pair statistic S_n(theta)."""
@@ -364,7 +373,7 @@ class ContrastEvaluator:
 
     def plugin_hessian(self, theta: EuclideanParam) -> np.ndarray:
         """Exact Hessian of the plug-in statistic in (p, alpha, beta), shape (3, 3)."""
-        return _plugin_gradient_hessian(self.u, self.w, self._s_re, self._s_im, self.n,
+        return _plugin_gradient_hessian(self.u, self.w, self._s, self.n,
                                         theta.p, theta.alpha, theta.beta)[1]
 
     def information_and_score(self, theta: EuclideanParam, x: np.ndarray):
@@ -374,10 +383,9 @@ class ContrastEvaluator:
         the contrast's Gauss-Newton curvature.  The per-observation score is
         U_k = -4 J W Im(e^{iuX_k}/M) = -4 Im sum_q z_q e^{iu_q X_k} with
         z = J W / M, of shape (3, Q), and v_hat = sum_k U_k U_k^T / (4n) is
-        summed in one pass over blocks of x.  On the lattice the sum over
-        nodes is sum_j C_kj (O_k G^T)_rj, with C and O the phases of
-        `_phases` and G the rows of z cut into panels, one row per (r, j) of
-        shape (P,), so the (B, Q) phases are never formed.
+        summed in one pass over blocks of x, whose sums over nodes come from
+        the panel transform `_panel_sums`, so the (B, Q) phases are never
+        formed.
         """
         if np.shape(x) != (self.n,):
             raise ValueError(f"x must hold the evaluator's {self.n} observations")
@@ -385,16 +393,9 @@ class ContrastEvaluator:
         jac = -s_c / self.n
         jw = jac * self.w
         info = 2.0 * jw @ jac.T
-        j, q = self._c.size, self.u.size
-        z = np.zeros((3, j * self._d.size), dtype=complex)
-        z[:, :q] = jw * inv
-        g = z.reshape(3 * j, -1)
         score = np.zeros((3, 3))
-        for blk in _blocks(self.n, 2 * q):
-            cen, off = _phases(x[blk], self._c, self._d)
-            t = (off @ g.T).reshape(-1, 3, j)
-            u_k = np.matmul(t, cen[:, :, None])[..., 0].imag
-            score += u_k.T @ u_k
+        for _, t in _panel_sums(jw * inv, self._c, self._d, x, 2 * self.u.size):
+            score += t.imag.T @ t.imag
         return info, 4.0 * score / self.n
 
 

@@ -18,7 +18,8 @@ The U equispaced nodes are built as a lattice u = c_a + d_p of A panel
 starts and P ~ sqrt(U) offsets, so every phase e^{iuy} is the product
 e^{i c_a y} e^{i d_p y} of two entries of `contrast._phases`, the phase
 kernel the contrast evaluator uses: a data point, a leave-one-out location
-or an output point costs A + P exponentials instead of U.
+or an output point costs A + P exponentials instead of U.  The output sum
+is `contrast._panel_sums`, the panel transform of the sandwich's score pass.
 
 The data and the locations are first centred at the sample median m.  Each
 ratio e^{iuX} / M(theta, u) is unchanged by a common shift, so f_n is the
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contrast import _blocks, _lattice_values, _phases
+from .contrast import _blocks, _lattice_values, _panel_sums, _phases
 from .errors import BadSmoothness, EmptyPositivePart
 from .estimator import _centred, _shift
 from .params import EuclideanParam, Sample, m_func
@@ -192,10 +193,9 @@ def deconvolved_density_values(sample: Sample, theta: EuclideanParam,
     u = c_a + d_p (see `_u_grid`): e^{iuy} = e^{i c_a y} e^{i d_p y}, so a
     data point, a leave-one-out location or an output point costs A + P
     exponentials instead of U.  ghat* is C^T O over blocks of observations,
-    and f_n(x) = 2 Re sum_a e^{-i c_a x} sum_p G_ap e^{-i d_p x} with G the
-    coefficient vector cut into panels, zero beyond the last node.
-    Observation and point sums run over blocks of about _BLOCK_ELEMENTS / U
-    rows, so memory does not grow with n or xs.
+    and f_n at xs is the shared panel transform `contrast._panel_sums` of
+    the coefficients at -xs.  Observation and point sums run over blocks of
+    about _BLOCK_ELEMENTS / U rows, so memory does not grow with n or xs.
     """
     xs = np.asarray(xs, dtype=float)
     if loo_thetas is not None and len(loo_thetas) != sample.n:
@@ -227,14 +227,10 @@ def deconvolved_density_values(sample: Sample, theta: EuclideanParam,
             shifted_m = (_lattice_values(p_k[blk, None] * cen_a, off_a, u.size)
                          + _lattice_values((1.0 - p_k[blk, None]) * cen_b, off_b, u.size))
             ratio += (1.0 / shifted_m).sum(axis=0)
-    coef = np.zeros(c.size * d.size, dtype=complex)
-    coef[:u.size] = trap * damp * ratio / sample.n
-    panels = coef.reshape(c.size, d.size)
-
+    coef = trap * damp * ratio / sample.n
     out = np.empty(xs.size)
-    for blk in _blocks(xs.size, u.size):
-        cen, off = _phases(-xs[blk], c, d)
-        out[blk] = 2.0 * np.einsum("ba,ba->b", cen, off @ panels.T).real
+    for blk, t in _panel_sums(coef[None], c, d, -xs, u.size):
+        out[blk] = 2.0 * t[:, 0].real
     return out
 
 

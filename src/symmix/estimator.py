@@ -417,16 +417,15 @@ def _newton_refits(frame: _Frame, scales: np.ndarray, start: EuclideanParam, box
     ok = np.zeros(n, dtype=bool)
     # about six (block, 3, Q) complex arrays are alive at once in the Hessian
     for blk in _blocks(n, 36 * ev.u.size):
-        e = ev._features(x[blk])
-        s_re, s_im = ev._s_re - e.real, ev._s_im - e.imag
+        s = ev._s - ev._features(x[blk])
         w = ev._folded_weights(_smoothing_factor(frame.ccfg, n - 1, scales[blk, None]))
         th, done = thetas[blk], ok[blk]          # views: written in place
         live = np.arange(th.shape[0])
         for _ in range(_NEWTON_MAX_ITER):
             if live.size == 0:
                 break
-            grad, hess = _plugin_gradient_hessian(ev.u, w[live], s_re[live], s_im[live],
-                                                  n - 1, *th[live].T[..., None])
+            grad, hess = _plugin_gradient_hessian(ev.u, w[live], s[live], n - 1,
+                                                  *th[live].T[..., None])
             finite = np.isfinite(hess).all(axis=(1, 2)) & np.isfinite(grad).all(axis=1)
             posdef = finite.copy()
             posdef[finite] = np.linalg.eigvalsh(hess[finite])[:, 0] > 0.0

@@ -108,9 +108,7 @@ def _half_axis_panels(m: int, cutoff: float):
     panel of 15, m = 20 two panels of 10).
     """
     k = max(1, m // _NODES_PER_PANEL)
-    counts = [m // k] * k
-    for i in range(m % k):
-        counts[i] += 1
+    counts = [m // k + (i < m % k) for i in range(k)]
     edges = np.linspace(0.0, cutoff, k + 1)
     return counts, edges
 
@@ -153,16 +151,12 @@ def build_weight_rule(density_id: str = "laplace_default",
 
     m = node_count // 2
     counts, edges = _half_axis_panels(m, cutoff)
-    nodes_parts, weight_parts = [], []
-    for j, cnt in enumerate(counts):
+    u_parts, w_parts = [], []
+    for cnt, a, b in zip(counts, edges[:-1], edges[1:]):
         x, gw = _legendre(cnt)
-        a, b = edges[j], edges[j + 1]
-        u = 0.5 * (b - a) * x + 0.5 * (b + a)
-        w = 0.5 * (b - a) * gw * laplace_density(u)
-        nodes_parts.append(u)
-        weight_parts.append(w)
-    u_pos = np.concatenate(nodes_parts)
-    w_pos = np.concatenate(weight_parts)
+        u_parts.append(0.5 * (b - a) * x + 0.5 * (b + a))
+        w_parts.append(0.5 * (b - a) * gw * laplace_density(u_parts[-1]))
+    u_pos, w_pos = np.concatenate(u_parts), np.concatenate(w_parts)
     nodes = np.concatenate([-u_pos[::-1], u_pos])
     weights = np.concatenate([w_pos[::-1], w_pos])
     return WeightRule("laplace_default", node_count, float(cutoff), nodes, weights)

@@ -78,6 +78,15 @@ def test_second_column_used_when_first_is_text(tmp_path, capsys):
     assert x[0] == 20.0
 
 
+@pytest.mark.parametrize("header", ["", "rain\n"], ids=["no-header", "header"])
+def test_byte_order_mark_keeps_every_value(tmp_path, header):
+    # a spreadsheet's "CSV UTF-8" starts with a byte-order mark
+    values = [float(v) for v in range(10, 21)]
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + (header + "".join(f"{v!r}\n" for v in values)).encode())
+    assert read_numeric_csv(str(path)).tolist() == values
+
+
 # ------------------------------------------------------------------------ fit
 
 
@@ -119,6 +128,18 @@ def test_density_grid_row_count(rainfall, capsys):
     lines = [ln for ln in out.strip().splitlines() if ln]
     assert lines[0] == "x,f_raw,f_tilde,g_n,g_reconstructed"
     assert len(lines) == 17
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (["density", "RAIN", "--grid", "-40:80:301"], 301),
+    (["scan", "RAIN", "--param", "alpha", "--range", "-1:1:5"], 5),
+], ids=["density-grid", "scan-range"])
+def test_negative_lower_bound_as_separate_value(rainfall, capsys, argv, rows):
+    code, out, _ = run_cli([rainfall if a == "RAIN" else a for a in argv], capsys)
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == rows + 1
+    assert float(lines[1].split(",")[0]) == float(argv[-1].split(":")[0])
 
 
 def test_density_reconstruction_matches_kde(two_component_csv, capsys):
@@ -305,6 +326,20 @@ def test_invalid_flag_values_exit_2(rainfall, tmp_path, capsys, argv, message):
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert err == f"error: {message}\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["fit", "{rain}", "--out", "{tmp}/missing/fit.json"], "{tmp}/missing/fit.json"),
+    (["scan", "{rain}", "--param", "p", "--range", "0.1:0.3:3", "--out", "{tmp}/scan.csv"],
+     "{tmp}/scan.csv.meta.json"),
+    (SIM + ["--out", "{tmp}/missing/sim"], "{tmp}/missing/sim.csv"),
+], ids=["fit", "scan-sidecar", "simulate"])
+def test_unwritable_out_exits_2(rainfall, tmp_path, capsys, argv, target):
+    (tmp_path / "scan.csv.meta.json").mkdir()       # the sidecar's path is taken
+    code, out, err = run_cli([a.format(rain=rainfall, tmp=tmp_path) for a in argv], capsys)
+    assert code == 2
+    assert err.startswith(f"error: cannot write {target.format(tmp=tmp_path)}: ")
     assert out == ""
 
 

@@ -338,7 +338,7 @@ def test_folded_nodes_equal_full_node_evaluation(rule, n, budget, monkeypatch):
 
 
 def test_evaluator_state_does_not_grow_with_n():
-    # node sums of (cos uX_k, sin uX_k) and of their squares: nothing of size n
+    # node sums of e^{iuX_k} and e^{2iuX_k}: nothing of size n
     def kept(n):
         ev = ContrastEvaluator(gauss_sample(n), CFG)
         return sum(getattr(v, "nbytes", 0) for v in vars(ev).values())
@@ -381,12 +381,15 @@ def test_panel_phases_equal_literal_features(rule, window, panels):
     def close(got, want):
         return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    assert close(ev._s_re, cos.sum(axis=0)) and close(ev._s_im, sin.sum(axis=0))
-    assert close(ev._q_rr, (cos * cos).sum(axis=0)) and close(ev._q_ii, (sin * sin).sum(axis=0))
-    assert close(ev._q_ri, (cos * sin).sum(axis=0))
+    assert close(ev._s.real, cos.sum(axis=0)) and close(ev._s.imag, sin.sum(axis=0))
+    # S2 = sum_k e^{2iuX_k}: cos 2uX = cos^2 - sin^2, sin 2uX = 2 cos sin
+    assert close(ev._s2.real, (cos * cos - sin * sin).sum(axis=0))
+    assert close(ev._s2.imag, (2.0 * cos * sin).sum(axis=0))
     assert close(ev._features(x[:50]), cos[:50] + 1j * sin[:50])
     theta = EuclideanParam(0.3, -0.5, 1.7)
     inv, _, _, s_c = ev._block(theta)
+    v = cos * inv.imag + sin * inv.real                         # Im(e^{iuX_k} / M)
+    assert close(ev._squares(inv, inv), (v * v).sum(axis=0))
     z = -s_c / n * ev.w * inv                # U_k = -4 Im sum_q z_q e^{iu_q X_k}
     u_k = -4.0 * (cos @ z.imag.T + sin @ z.real.T)
     assert close(ev.information_and_score(theta, x)[1], u_k.T @ u_k / (4.0 * n))
@@ -462,7 +465,7 @@ def test_plugin_hessian_matches_differences_of_gradient(family, theta0):
         assert np.array_equal(hess, hess.T)
         # the batched form, with a batch of one
         grad1, hess1 = _plugin_gradient_hessian(
-            ev.u, ev.w[None], ev._s_re[None], ev._s_im[None], ev.n,
+            ev.u, ev.w[None], ev._s[None], ev.n,
             *theta.as_array()[:, None, None])
         assert hess1.shape == (1, 3, 3) and np.array_equal(hess1[0], hess)
         assert np.allclose(grad1[0], ev.plugin_value_gradient(theta)[1], rtol=1e-12, atol=1e-17)

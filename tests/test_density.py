@@ -93,6 +93,29 @@ def test_shifted_direct_evaluation_matches_kde_on_coarse_grid():
     assert np.max(np.abs(recon - kde.values)) <= 1e-3 * np.max(kde.values)
 
 
+def test_reconstruction_on_default_grid_singles_out_the_fit():
+    # the reconstructions above equal the kernel estimate at any theta; the
+    # renormalized curve interpolated on its default grid does not, so moving
+    # one coordinate 3 standard errors off the fit must widen its L1 gap to
+    # the kernel estimate (0.0044 at the fit; 0.153, 0.026, 0.055 moved)
+    from symmix import fit
+    sample = sample_mixture(ScenarioSpec("gauss", THETA0, 200, 1, 5), 0)
+    res = fit(sample)
+    cfg = DensityConfig(bandwidth=default_bandwidth(sample.n))
+
+    def l1_gap(t):
+        theta = EuclideanParam(*t)
+        curve = estimate_density(sample, theta, cfg)
+        kde = estimate_g(sample, cfg, xs=curve.xs)
+        recon = reconstruct_mixture(curve, theta, use="f_tilde")
+        return np.trapezoid(np.abs(recon - kde.values), curve.xs)
+
+    base = res.theta_hat.as_array()
+    fitted = l1_gap(base)
+    for j in range(3):
+        assert l1_gap(base + 3.0 * res.std_errors[j] * np.eye(3)[j]) >= 3.0 * fitted
+
+
 def test_reconstruction_with_clipped_density_differs():
     sample = gauss_sample(60, rep=4)
     from symmix import fit

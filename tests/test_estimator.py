@@ -347,21 +347,21 @@ def test_leave_one_out_downdated_sums_equal_rebuilt_evaluators(name, loo_cases, 
     first = []
     newton_terms = estimator._plugin_gradient_hessian
 
-    def recording(u, w, s_re, s_im, n, *theta):
+    def recording(u, w, s, n, *theta):
         if not first:
-            first.append((u, w, s_re, s_im, n))
-        return newton_terms(u, w, s_re, s_im, n, *theta)
+            first.append((u, w, s, n))
+        return newton_terms(u, w, s, n, *theta)
 
     monkeypatch.setattr(estimator, "_plugin_gradient_hessian", recording)
     leave_one_out_thetas(sample, theta_hat)
-    u, w, s_re, s_im, n = first[0]
+    u, w, s, n = first[0]
     evs, _ = rebuilt_evaluators(sample)
     assert n == sample.n - 1 and w.shape == (sample.n, u.size)
     for k, ev in enumerate(evs):
         assert np.array_equal(ev.u, u) and ev.n == n
         assert np.max(np.abs(w[k] - ev.w)) <= 1e-12 * np.max(ev.w)
-        assert np.max(np.abs(s_re[k] - ev._s_re)) <= 1e-12 * n
-        assert np.max(np.abs(s_im[k] - ev._s_im)) <= 1e-12 * n
+        assert np.max(np.abs(s[k].real - ev._s.real)) <= 1e-12 * n
+        assert np.max(np.abs(s[k].imag - ev._s.imag)) <= 1e-12 * n
 
 
 @pytest.mark.parametrize("name", LOO_SAMPLES)

@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -157,20 +157,26 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _write(path: str, text: str):
+def _write(*files: tuple[str, str]):
+    """Write each (path, text); if one fails, remove those already opened and exit 2."""
+    opened = []
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        for path, text in files:
+            with open(path, "w", encoding="utf-8") as fh:
+                opened.append(path)
+                fh.write(text)
     except OSError as exc:
+        for done in opened:
+            with suppress(OSError):
+                os.remove(done)
         raise CliInputError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit(out: str | None, text: str, meta: dict | None = None):
     """Main text to `out` or stdout; the JSON sidecar `meta` to `out`.meta.json or stderr."""
     if out:
-        _write(out, text)
-        if meta is not None:
-            _write(out + ".meta.json", _dump(meta))
+        sidecar = [] if meta is None else [(out + ".meta.json", _dump(meta))]
+        _write((out, text), *sidecar)
     else:
         sys.stdout.write(text)
         if meta is not None:
@@ -288,9 +294,9 @@ def cmd_simulate(args) -> int:
     config = {"family": spec.family, "n": spec.n, "M": spec.replications,
               "theta0": [spec.theta0.p, spec.theta0.alpha, spec.theta0.beta],
               "mix_lambda": spec.mix_lambda, "starts": args.starts}
-    _write(args.out + ".csv", csv_text)
-    _write(args.out + ".json", _dump({"manifest": _manifest("simulate", config, seed=spec.seed),
-                                      "summary": summary.to_dict()}))
+    _write((args.out + ".csv", csv_text),
+           (args.out + ".json", _dump({"manifest": _manifest("simulate", config, seed=spec.seed),
+                                       "summary": summary.to_dict()})))
     return 0
 
 

@@ -119,14 +119,15 @@ def robust_scale(values) -> float:
 
 
 def default_contrast_config(sample: Sample) -> ContrastConfig:
-    """Default weight rule and truncation for fitting a given sample.
+    """Default weight rule and truncation for fitting a given sample: `fit`'s own.
 
     The exponential weight keeps its unit frequency scale; the cutoff adapts
     to the data's dispersion (six standardized frequency units, capped) so
     the integration window tracks where the empirical characteristic
-    function carries signal rather than noise.  The rule has 256 nodes.
+    function carries signal rather than noise.  The rule has 256 nodes.  The
+    scale is the centred sample's, as in `fit` (see `_frame`).
     """
-    return _default_config(sample.n, robust_scale(sample.values))
+    return _default_config(sample.n, robust_scale(_centred(sample)[0].values))
 
 
 def _default_config(n: int, scale: float) -> ContrastConfig:
@@ -315,28 +316,23 @@ def _fit(frame: _Frame, cfg: FitConfig) -> FitResult:
 
 
 def asymptotic_covariance(sample: Sample, theta_hat: EuclideanParam,
-                          ccfg: ContrastConfig, form: str = "sandwich") -> np.ndarray:
-    """Plug-in asymptotic covariance of sqrt(n) (theta_hat - theta).
+                          ccfg: ContrastConfig | None = None) -> np.ndarray:
+    """Plug-in sandwich covariance I^{-1} V I^{-1} of sqrt(n) (theta_hat - theta).
 
-    form "sandwich" returns I^{-1} V I^{-1} (the expansion-consistent shape);
-    form "stated" returns I^{-1} V I for comparison.  The curvature and score
-    integrals use the smoothed weights of the fit objective, as the fit's own
-    covariance does, but an ill-conditioned information matrix raises
-    SingularInformation instead of falling back to pinv.  Standard errors of
-    theta_hat are sqrt(diag / n).
+    At `fit`'s estimate and configuration it equals `FitResult.covariance`
+    bit for bit, except that an ill-conditioned information matrix raises
+    SingularInformation instead of falling back to pinv.  Standard errors
+    of theta_hat are sqrt(diag / n).
     """
     if sample.n < 10:
         raise SampleTooSmall("covariance plug-in needs n >= 10")
-    if form not in ("sandwich", "stated"):
-        raise ValueError(f"unknown form {form!r}")
     frame = _frame(sample, ccfg)
     return _sandwich(frame.ev, _shift(theta_hat, -frame.m), frame.centred.values,
-                     fallback=False, stated=form == "stated")[0]
+                     fallback=False)[0]
 
 
-def _sandwich(ev: ContrastEvaluator, theta: EuclideanParam, x: np.ndarray, fallback: bool,
-              stated: bool = False):
-    """Symmetrized I^{-1} V I^{-1} (I^{-1} V I when `stated`) and the form used.
+def _sandwich(ev: ContrastEvaluator, theta: EuclideanParam, x: np.ndarray, fallback: bool):
+    """Symmetrized I^{-1} V I^{-1} and the form used.
 
     x is the sample `ev` was built from, read once for the scores.
 
@@ -355,7 +351,7 @@ def _sandwich(ev: ContrastEvaluator, theta: EuclideanParam, x: np.ndarray, fallb
     else:
         inv_i = np.linalg.inv(info)
         form = "sandwich"
-    cov = inv_i @ v_hat @ (info if stated else inv_i)
+    cov = inv_i @ v_hat @ inv_i
     return 0.5 * (cov + cov.T), form
 
 

@@ -77,10 +77,6 @@ class EuclideanParam:
         if self.alpha == self.beta:
             raise DegenerateParam("alpha and beta coincide")
 
-    @property
-    def is_canonical(self) -> bool:
-        return self.p < 0.5
-
     def swapped(self) -> "EuclideanParam":
         return EuclideanParam(1.0 - self.p, self.beta, self.alpha)
 

@@ -16,7 +16,6 @@ converges geometrically for smooth integrands.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -49,7 +48,6 @@ class WeightRule:
     """Quadrature realization of a weight measure: sum_q weights[q] phi(nodes[q])."""
 
     density_id: str
-    node_count: int
     cutoff: float
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
@@ -60,35 +58,9 @@ class WeightRule:
         self.nodes.flags.writeable = False
         self.weights.flags.writeable = False
 
-    def integrate(self, values) -> float:
-        return float(np.dot(self.weights, values))
-
     @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
-
-    def abs_moment(self, k: int) -> float:
-        return float(np.dot(self.weights, np.abs(self.nodes) ** k))
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "density_id": self.density_id,
-            "node_count": self.node_count,
-            "cutoff": self.cutoff,
-            "nodes": self.nodes.tolist(),
-            "weights": self.weights.tolist(),
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "WeightRule":
-        obj = json.loads(text)
-        return cls(
-            density_id=obj["density_id"],
-            node_count=int(obj["node_count"]),
-            cutoff=float(obj["cutoff"]),
-            nodes=np.asarray(obj["nodes"], dtype=float),
-            weights=np.asarray(obj["weights"], dtype=float),
-        )
+    def node_count(self) -> int:
+        return self.nodes.size
 
 
 @lru_cache(maxsize=None)
@@ -138,7 +110,7 @@ def build_weight_rule(density_id: str = "laplace_default",
         third = float(np.dot(weights, np.abs(nodes) ** 3))
         if not np.isfinite(third):
             raise BadWeightSpec("third absolute moment of the table is not finite")
-        return WeightRule("user_table", nodes.size, float(np.max(np.abs(nodes))), nodes, weights)
+        return WeightRule("user_table", float(np.max(np.abs(nodes))), nodes, weights)
 
     if density_id != "laplace_default":
         raise BadWeightSpec(f"unknown density_id {density_id!r}")
@@ -159,7 +131,7 @@ def build_weight_rule(density_id: str = "laplace_default",
     u_pos, w_pos = np.concatenate(u_parts), np.concatenate(w_parts)
     nodes = np.concatenate([-u_pos[::-1], u_pos])
     weights = np.concatenate([w_pos[::-1], w_pos])
-    return WeightRule("laplace_default", node_count, float(cutoff), nodes, weights)
+    return WeightRule("laplace_default", float(cutoff), nodes, weights)
 
 
 def scale_aware_cutoff(scale: float) -> float:

@@ -334,13 +334,18 @@ def test_invalid_flag_values_exit_2(rainfall, tmp_path, capsys, argv, message):
     (["scan", "{rain}", "--param", "p", "--range", "0.1:0.3:3", "--out", "{tmp}/scan.csv"],
      "{tmp}/scan.csv.meta.json"),
     (SIM + ["--out", "{tmp}/missing/sim"], "{tmp}/missing/sim.csv"),
-], ids=["fit", "scan-sidecar", "simulate"])
+    (SIM + ["--out", "{tmp}/sim"], "{tmp}/sim.json"),
+], ids=["fit", "scan-sidecar", "simulate", "simulate-sidecar"])
 def test_unwritable_out_exits_2(rainfall, tmp_path, capsys, argv, target):
-    (tmp_path / "scan.csv.meta.json").mkdir()       # the sidecar's path is taken
+    taken = ["scan.csv.meta.json", "sim.json"]      # the second files' paths
+    for name in taken:
+        (tmp_path / name).mkdir()
     code, out, err = run_cli([a.format(rain=rainfall, tmp=tmp_path) for a in argv], capsys)
     assert code == 2
     assert err.startswith(f"error: cannot write {target.format(tmp=tmp_path)}: ")
     assert out == ""
+    # no scan.csv or sim.csv: nothing the run wrote is left
+    assert sorted(p.name for p in tmp_path.iterdir()) == taken
 
 
 def test_library_value_error_is_not_input_error(rainfall, monkeypatch):

@@ -147,7 +147,7 @@ def test_translation_equivariance():
 
 def test_boundedness():
     sample = gauss_sample(30)
-    bound = 4.0 / (1.0 - 2.0 * 0.499) ** 2 * RULE.total_mass
+    bound = 4.0 / (1.0 - 2.0 * 0.499) ** 2 * RULE.weights.sum()
     rng = np.random.default_rng(3)
     for _ in range(50):
         theta = EuclideanParam(rng.uniform(0.001, 0.499), rng.normal(0, 3),

@@ -108,8 +108,8 @@ def test_canonicalize_idempotent(p, a, b):
 
 def test_param_allows_swapped_side_for_evaluation():
     theta = EuclideanParam(0.75, 2.0, -1.0)
-    assert not theta.is_canonical
-    assert theta.swapped().is_canonical
+    assert not theta.p < 0.5
+    assert theta.swapped().p < 0.5
 
 
 def test_param_rejects_half_and_equal_locations():

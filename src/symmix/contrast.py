@@ -51,9 +51,12 @@ squares r^T W r of the residual r(u) = Im(ghat*(u)/M(theta, u)), its
 gradient is 2 J W r, and `ContrastEvaluator.information_and_score` returns
 the curvature 2 J W J^T and the score outer product for the sandwich.  The
 exact Hessian 2 J W J^T + 2 sum_q w_q r_q grad^2 r_q adds the second
-derivatives of 1/M (`ContrastEvaluator.plugin_hessian`); it is computed
-apart from the value and gradient, in a form that also takes a batch of
-node sums, weights and parameters, which leave-one-out refits use.
+derivatives of 1/M (`_plugin_gradient_hessian`); it is computed apart from
+the value and gradient, on a batch of node sums, weights and parameters,
+for the leave-one-out refits.  `_block` takes each parameter's phases
+e^{iu alpha} and e^{iu beta} rather than its locations, so a caller that
+has them from the phase kernel, or shares one parameter across the batch,
+computes them once.
 """
 
 from __future__ import annotations
@@ -194,61 +197,72 @@ def m_dot(theta: EuclideanParam, u: np.ndarray) -> np.ndarray:
 
 def _im_sums(z: np.ndarray, s: np.ndarray) -> np.ndarray:
     """sum_k Im(z e^{iuX_k}) node-wise, from the node sums s = sum_k e^{iuX_k}."""
-    return z.imag * s.real + z.real * s.imag
+    out = z.imag * s.real
+    out += z.real * s.imag
+    return out
 
 
-def _block(u, s, p, alpha, beta):
+def _block(u, s, p, ea, eb):
     """Derivative block (1/M, Mdot/M^2) on the nodes and its node sums, batched.
 
     u has shape (Q,); s, of shape (..., Q), holds the node sums
-    sum_k e^{iuX_k}; p, alpha and beta are scalars or (..., 1)
-    holding a batch of parameters.  Returns inv = 1/M and c = Mdot/M^2, of
-    shapes (..., Q) and (..., 3, Q) with the (p, alpha, beta) rows on the
-    second-last axis, s_inv = sum_k Im(inv e^{iuX_k}) and
-    s_c = sum_k Im(c e^{iuX_k}) of the same shapes, then e^{iu alpha},
-    e^{iu beta} and Mdot, which only the Hessian reads.
+    sum_k e^{iuX_k}; p, a scalar or (..., 1), and the phases ea = e^{iu alpha}
+    and eb = e^{iu beta}, (Q,) or (..., Q), hold a batch of parameters,
+    which broadcasts against s: a batch of one serves every row of s.
+    Returns inv = 1/M and c = Mdot/M^2, of shapes (..., Q) and (..., 3, Q)
+    with the (p, alpha, beta) rows on the second-last axis,
+    s_inv = sum_k Im(inv e^{iuX_k}) and s_c = sum_k Im(c e^{iuX_k}) in s's
+    batch, then Mdot, which only the Hessian reads.
     """
     iu = 1j * u
-    ea, eb = np.exp(iu * alpha), np.exp(iu * beta)
     inv = 1.0 / (p * ea + (1.0 - p) * eb)
-    mdot = np.stack([ea - eb, iu * p * ea, iu * (1.0 - p) * eb], axis=-2)
+    mdot = np.empty(inv.shape[:-1] + (3, u.size), dtype=complex)
+    np.subtract(ea, eb, out=mdot[..., 0, :])
+    np.multiply(iu * p, ea, out=mdot[..., 1, :])
+    np.multiply(iu * (1.0 - p), eb, out=mdot[..., 2, :])
     c = mdot * (inv * inv)[..., None, :]
     s_c = _im_sums(c, s[..., None, :])
-    return inv, c, _im_sums(inv, s), s_c, ea, eb, mdot
+    return inv, c, _im_sums(inv, s), s_c, mdot
 
 
-def _plugin_gradient_hessian(u, w, s, n, p, alpha, beta):
+def _plugin_gradient_hessian(u, w, s, n, p, ea, eb):
     """Gradient and exact Hessian of the plug-in statistic V = r^T W r, batched.
 
     u has shape (Q,); w and s, of shape (..., Q), are the weights and the
-    node sums sum_k e^{iuX_k} over n observations; p, alpha
-    and beta are scalars or (..., 1).  Returns shapes (..., 3) and (..., 3, 3).
+    node sums sum_k e^{iuX_k} over n observations; p, ea = e^{iu alpha} and
+    eb = e^{iu beta} are parameters as `_block` takes them, so phases of
+    batch one serve every row.  Returns shapes (..., 3) and (..., 3, 3).
 
     With r = sum_k Im(e^{iuX_k}/M)/n and J = -sum_k Im(e^{iuX_k} Mdot/M^2)/n
     from `_block`, the gradient is 2 J W r and the Hessian
     2 J W J^T + 2 sum_q w_q r_q H_q, where
-    H = sum_k Im(e^{iuX_k} (2 Mdot Mdot^T/M^3 - Mddot/M^2))/n.  Mddot
-    has four nonzero entries: d2M/dp dalpha = iu e^{iu alpha}, d2M/dp dbeta =
-    -iu e^{iu beta}, d2M/dalpha^2 = iu Mdot_alpha, d2M/dbeta^2 = iu Mdot_beta.
-    The six distinct entries are reduced one at a time, so the working set
-    stays at a few arrays of shape (..., 3, Q).
+    H = sum_k Im(e^{iuX_k} (2 Mdot Mdot^T/M^3 - Mddot/M^2))/n.  That is two
+    contractions over the nodes, 2 (J o w) J^T and Im((Mdot o k) Mdot^T)
+    with k = 4 w r S/(n M^3), less the four nonzero entries of Mddot:
+    d2M/dp dalpha = iu e^{iu alpha}, d2M/dp dbeta = -iu e^{iu beta},
+    d2M/dalpha^2 = iu Mdot_alpha and d2M/dbeta^2 = iu Mdot_beta, each
+    contracted with t = 2 iu w r S/(n M^2).
     """
-    inv, _, s_inv, s_c, ea, eb, mdot = _block(u, s, p, alpha, beta)
-    inv2 = inv * inv
-    r = s_inv / n
-    wr = w * r
-    jac = -s_c / n
-    # Mddot/M^2 is t times e^{iu alpha}, -e^{iu beta}, Mdot_alpha or Mdot_beta
-    t = 1j * u * inv2
-    mddot = {(0, 1): ea, (0, 2): -eb, (1, 1): mdot[..., 1, :], (2, 2): mdot[..., 2, :]}
-    hess = np.empty(r.shape[:-1] + (3, 3))
-    for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
-        d = 2.0 * mdot[..., i, :] * mdot[..., j, :] * inv * inv2
-        if (i, j) in mddot:
-            d -= t * mddot[i, j]
-        hess[..., i, j] = hess[..., j, i] = 2.0 * np.sum(
-            w * jac[..., i, :] * jac[..., j, :] + wr * _im_sums(d, s) / n, axis=-1)
-    return 2.0 * np.sum(jac * wr[..., None, :], axis=-1), hess
+    inv, c, s_inv, s_c, mdot = _block(u, s, p, ea, eb)
+    del c                    # read only through s_c: 6 reals per row and node freed
+    wr = w * (s_inv / n)
+    t = s * (wr / n) * (inv * inv)
+    k = 4.0 * t * inv
+    t *= 2j * u
+    # J = -s_c / n, so 2 (J o w) J^T = 2 (s_c o w / n^2) s_c^T and 2 J W r = -2 s_c W r / n
+    hess = 2.0 * np.matmul(s_c * (w / (n * n))[..., None, :], s_c.swapaxes(-1, -2))
+    hess += np.matmul(mdot * k[..., None, :], mdot.swapaxes(-1, -2)).imag
+    # sum_q t Mdot_q, and sum_q t e^{iu alpha}; sum_q t e^{iu beta} is their difference
+    tm = np.matmul(mdot, t[..., :, None])[..., 0].imag
+    ta = np.matmul(ea[..., None, :], t[..., :, None])[..., 0, 0].imag
+    hess[..., 0, 1] -= ta
+    hess[..., 0, 2] += ta - tm[..., 0]
+    hess[..., 1, 1] -= tm[..., 1]
+    hess[..., 2, 2] -= tm[..., 2]
+    # the upper triangle is mirrored, so the Hessian is symmetric bit for bit
+    i, j = np.triu_indices(3, 1)
+    hess[..., j, i] = hess[..., i, j]
+    return (-2.0 / n) * np.matmul(s_c, wr[..., :, None])[..., 0], hess
 
 
 def z_score(theta: EuclideanParam, u, x) -> np.ndarray:
@@ -293,8 +307,6 @@ class ContrastEvaluator:
     the plug-in objective is V_n = r^T W r with residual
     r = sum_k Im(e^{iuX_k}/M)/n and Jacobian J = -sum_k Im(e^{iuX_k} Mdot/M^2)/n;
     the sandwich pieces of `information_and_score` come from the same J.
-    `plugin_hessian` adds the second-order terms on the same block, in
-    `_plugin_gradient_hessian`, so the first-order methods never pay for them.
 
     The active nodes are folded onto |u|: M(-u) = conj M(u) makes
     v_k(-u) = -v_k(u) and its gradient odd too, so every integrand here is
@@ -328,7 +340,9 @@ class ContrastEvaluator:
 
     def _block(self, theta: EuclideanParam):
         """The module's `_block` on this sample's node sums: inv, c, s_inv, s_c."""
-        return _block(self.u, self._s, theta.p, theta.alpha, theta.beta)[:4]
+        u = self.u
+        return _block(u, self._s, theta.p, np.exp(1j * u * theta.alpha),
+                      np.exp(1j * u * theta.beta))[:4]
 
     def _folded_weights(self, weight_factor=None) -> np.ndarray:
         """The rule's weights inside the window, times weight_factor if given, folded onto `u`.
@@ -370,11 +384,6 @@ class ContrastEvaluator:
         r, jac = s_inv / self.n, -s_c / self.n
         wr = self.w * r
         return float(np.dot(r, wr)), 2.0 * jac @ wr
-
-    def plugin_hessian(self, theta: EuclideanParam) -> np.ndarray:
-        """Exact Hessian of the plug-in statistic in (p, alpha, beta), shape (3, 3)."""
-        return _plugin_gradient_hessian(self.u, self.w, self._s, self.n,
-                                        theta.p, theta.alpha, theta.beta)[1]
 
     def information_and_score(self, theta: EuclideanParam, x: np.ndarray):
         """Sandwich pieces (info, v_hat) of the plug-in contrast at theta, each (3, 3).

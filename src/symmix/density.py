@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contrast import _blocks, _lattice_values, _panel_sums, _phases
+from .contrast import _blocks, _panel_sums, _phases
 from .errors import BadSmoothness, EmptyPositivePart
 from .estimator import _centred, _shift
 from .params import EuclideanParam, Sample, m_func
@@ -220,13 +220,15 @@ def deconvolved_density_values(sample: Sample, theta: EuclideanParam,
         # e^{iuX_k} / M(theta_k, u) = 1 / (p_k e^{iu(alpha_k-X_k)} + (1-p_k) e^{iu(beta_k-X_k)})
         p_k, a_k, b_k = np.array([th.as_array() for th in loo_thetas]).T
         a_k, b_k = a_k - sample.values, b_k - sample.values
-        ratio = np.zeros(u.size, dtype=complex)
+        ratio = np.zeros((c.size, d.size), dtype=complex)
         for blk in _blocks(sample.n, u.size):
             cen_a, off_a = _phases(a_k[blk], c, d)
             cen_b, off_b = _phases(b_k[blk], c, d)
-            shifted_m = (_lattice_values(p_k[blk, None] * cen_a, off_a, u.size)
-                         + _lattice_values((1.0 - p_k[blk, None]) * cen_b, off_b, u.size))
-            ratio += (1.0 / shifted_m).sum(axis=0)
+            # M_k on the whole (A, P) lattice, past u's last node too, in one array
+            shifted_m = (p_k[blk, None] * cen_a)[:, :, None] * off_a[:, None, :]
+            shifted_m += ((1.0 - p_k[blk, None]) * cen_b)[:, :, None] * off_b[:, None, :]
+            ratio += np.divide(1.0, shifted_m, out=shifted_m).sum(axis=0)
+        ratio = ratio.ravel()[:u.size]
     coef = trap * damp * ratio / sample.n
     out = np.empty(xs.size)
     for blk, t in _panel_sums(coef[None], c, d, -xs, u.size):

@@ -393,6 +393,15 @@ _NEWTON_MAX_ITER = 30
 _NEWTON_STEP_TOL = 1e-12
 
 
+def _refit_params(ev: ContrastEvaluator, thetas: np.ndarray):
+    """p, shape (B, 1), and the phases e^{iu alpha}, e^{iu beta}, each (B, Q), of parameter rows.
+
+    The phases come from the evaluator's own phase kernel (`_features`).
+    """
+    ea, eb = ev._features(thetas[:, 1:].T.ravel()).reshape(2, len(thetas), -1)
+    return thetas[:, :1], ea, eb
+
+
 def _newton_refits(frame: _Frame, scales: np.ndarray, start: EuclideanParam, box: ParamBox):
     """Every leave-one-out refit of the fit objective, by batched Newton from `start`.
 
@@ -401,8 +410,10 @@ def _newton_refits(frame: _Frame, scales: np.ndarray, start: EuclideanParam, box
     the smoothed weights of the n - 1 remaining observations, which differ
     from the full sample's only through their robust scale, scales[k], so
     all n refits are one batched problem.  Each runs Newton steps on the
-    exact Hessian until its step is at rounding level.  The batch runs in
-    blocks of about _BLOCK_ELEMENTS / (36 Q) refits, so the Hessian's
+    exact Hessian until its step is at rounding level.  Every refit's first
+    step is at `start`, so one row of phases, computed once, serves them
+    all; later steps take one row per refit still running.  The batch runs
+    in blocks of about _BLOCK_ELEMENTS / (24 Q) refits, so the Hessian's
     working set stays near _BLOCK_ELEMENTS reals whatever n is.  Returns
     the refits, shape (n, 3), and a flag per refit that is False where it
     did not converge within _NEWTON_MAX_ITER steps, met a Hessian that is
@@ -411,17 +422,19 @@ def _newton_refits(frame: _Frame, scales: np.ndarray, start: EuclideanParam, box
     ev, x, n = frame.ev, frame.centred.values, frame.centred.n
     thetas = np.tile(start.as_array(), (n, 1))
     ok = np.zeros(n, dtype=bool)
-    # about six (block, 3, Q) complex arrays are alive at once in the Hessian
-    for blk in _blocks(n, 36 * ev.u.size):
+    first = _refit_params(ev, start.as_array()[None])
+    # the Hessian's arrays peak at about 24 reals per refit and node (tracemalloc,
+    # Q = 128 and 2,048), 17 in the shared first step
+    for blk in _blocks(n, 24 * ev.u.size):
         s = ev._s - ev._features(x[blk])
         w = ev._folded_weights(_smoothing_factor(frame.ccfg, n - 1, scales[blk, None]))
         th, done = thetas[blk], ok[blk]          # views: written in place
         live = np.arange(th.shape[0])
-        for _ in range(_NEWTON_MAX_ITER):
+        for it in range(_NEWTON_MAX_ITER):
             if live.size == 0:
                 break
-            grad, hess = _plugin_gradient_hessian(ev.u, w[live], s[live], n - 1,
-                                                  *th[live].T[..., None])
+            params = first if it == 0 else _refit_params(ev, th[live])
+            grad, hess = _plugin_gradient_hessian(ev.u, w[live], s[live], n - 1, *params)
             finite = np.isfinite(hess).all(axis=(1, 2)) & np.isfinite(grad).all(axis=1)
             posdef = finite.copy()
             posdef[finite] = np.linalg.eigvalsh(hess[finite])[:, 0] > 0.0
@@ -447,7 +460,10 @@ def leave_one_out_thetas(sample: Sample, theta_hat: EuclideanParam,
     not converge, meets a Hessian that is not positive definite, or ends
     outside the p-box is redone by `_descend` on the rebuilt evaluator of
     the reduced sample.  A refit whose locations merge returns theta_hat.
+    Raises SampleTooSmall below 10 observations, as `fit` does.
     """
+    if sample.n < 10:
+        raise SampleTooSmall(f"leave-one-out needs n >= 10, got {sample.n}")
     cfg = cfg or FitConfig()
     frame = _frame(sample, ccfg)
     scales = _loo_scales(frame.centred.values)

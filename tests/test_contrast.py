@@ -452,22 +452,109 @@ def hessian_by_differences(ev, theta, step=1e-6):
     return np.column_stack(cols)
 
 
-@pytest.mark.parametrize("family, theta0", [("gauss", THETA0),
-                                            ("cauchy", EuclideanParam(0.2, 1.0, 5.0))])
-def test_plugin_hessian_matches_differences_of_gradient(family, theta0):
-    from symmix.contrast import _plugin_gradient_hessian
+def exp_phases(u, theta):
+    """p, e^{iu alpha} and e^{iu beta} of one parameter as a batch of one, phases by np.exp."""
+    ea, eb = (np.exp(1j * u * loc)[None] for loc in (theta.alpha, theta.beta))
+    return np.full((1, 1), theta.p), ea, eb
 
+
+def evaluator_hessian(ev, theta):
+    """Gradient and exact Hessian of the evaluator's plug-in contrast, a batch of one."""
+    grad, hess = contrast._plugin_gradient_hessian(ev.u, ev.w[None], ev._s[None], ev.n,
+                                                   *exp_phases(ev.u, theta))
+    return grad[0], hess[0]
+
+
+HESSIAN_CASES = [("gauss", THETA0), ("cauchy", EuclideanParam(0.2, 1.0, 5.0))]
+
+
+@pytest.mark.parametrize("family, theta0", HESSIAN_CASES)
+def test_plugin_hessian_matches_differences_of_gradient(family, theta0):
     ev, optimum = fitted_evaluator(family, theta0)
     for theta in (optimum, EuclideanParam(0.7, 0.3, -0.8), EuclideanParam(0.3, -0.5, 1.0)):
-        hess = ev.plugin_hessian(theta)
+        grad, hess = evaluator_hessian(ev, theta)
         fd = hessian_by_differences(ev, theta)
         assert np.max(np.abs(hess - fd)) <= 1e-7 * np.max(np.abs(hess))
         assert np.array_equal(hess, hess.T)
-        # the batched form, with a batch of one
-        grad1, hess1 = _plugin_gradient_hessian(
-            ev.u, ev.w[None], ev._s[None], ev.n,
-            *theta.as_array()[:, None, None])
-        assert hess1.shape == (1, 3, 3) and np.array_equal(hess1[0], hess)
-        assert np.allclose(grad1[0], ev.plugin_value_gradient(theta)[1], rtol=1e-12, atol=1e-17)
+        assert np.allclose(grad, ev.plugin_value_gradient(theta)[1], rtol=1e-12, atol=1e-17)
     # a local minimum: positive definite there
-    assert np.linalg.eigvalsh(ev.plugin_hessian(optimum))[0] > 0.0
+    assert np.linalg.eigvalsh(evaluator_hessian(ev, optimum)[1])[0] > 0.0
+
+
+def six_pass_gradient_hessian(u, w, s, n, p, alpha, beta):
+    """Gradient 2 J W r and exact Hessian of V = r^T W r, one pass over the nodes per entry.
+
+    The literal form: each of the six distinct entries
+    2 sum_q (w J_i J_j + w r Im(S (2 Mdot_i Mdot_j/M^3 - Mddot_ij/M^2)) / n)
+    is reduced on its own, with phases by np.exp.
+    """
+    iu = 1j * u
+    ea, eb = np.exp(iu * alpha), np.exp(iu * beta)
+    inv = 1.0 / (p * ea + (1.0 - p) * eb)
+    inv2 = inv * inv
+    mdot = np.stack([ea - eb, iu * p * ea, iu * (1.0 - p) * eb], axis=-2)
+
+    def im_sums(z, sums):
+        return z.imag * sums.real + z.real * sums.imag
+
+    r = im_sums(inv, s) / n
+    jac = -im_sums(mdot * inv2[..., None, :], s[..., None, :]) / n
+    wr = w * r
+    # Mddot/M^2 is t times e^{iu alpha}, -e^{iu beta}, Mdot_alpha or Mdot_beta
+    t = iu * inv2
+    mddot = {(0, 1): ea, (0, 2): -eb, (1, 1): mdot[..., 1, :], (2, 2): mdot[..., 2, :]}
+    hess = np.empty(r.shape[:-1] + (3, 3))
+    for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+        d = 2.0 * mdot[..., i, :] * mdot[..., j, :] * inv * inv2
+        if (i, j) in mddot:
+            d -= t * mddot[i, j]
+        hess[..., i, j] = hess[..., j, i] = 2.0 * np.sum(
+            w * jac[..., i, :] * jac[..., j, :] + wr * im_sums(d, s) / n, axis=-1)
+    return 2.0 * np.sum(jac * wr[..., None, :], axis=-1), hess
+
+
+def rainfall_downdated_rows():
+    """Rainfall's leave-one-out problems: weights, downdated node sums, n - 1 and the start."""
+    from symmix.cli import rainfall_path, read_numeric_csv
+    from symmix.estimator import _frame, _loo_scales, _shift, _smoothing_factor
+    from symmix import fit
+
+    sample = Sample(read_numeric_csv(rainfall_path()))
+    frame = _frame(sample)
+    ev, x = frame.ev, frame.centred.values
+    w = ev._folded_weights(_smoothing_factor(frame.ccfg, ev.n - 1, _loo_scales(x)[:, None]))
+    return ev, w, ev._s - ev._features(x), ev.n - 1, _shift(fit(sample).theta_hat, -frame.m)
+
+
+def assert_rows_close(got, want, rel):
+    """Each row of got within rel times the largest entry of want's row."""
+    axes = tuple(range(1, want.ndim))
+    assert np.all(np.max(np.abs(got - want), axis=axes) <= rel * np.max(np.abs(want), axis=axes))
+
+
+def test_two_contraction_hessian_matches_six_pass_reference():
+    ev, w, s, n, start = rainfall_downdated_rows()
+    assert s.shape == (70, ev.u.size)
+    cases = [(ev.u, w, s, n, start)]
+    for family, theta0 in HESSIAN_CASES:
+        fitted, optimum = fitted_evaluator(family, theta0)
+        perturbed = EuclideanParam(optimum.p + 0.03, optimum.alpha - 0.2, optimum.beta + 0.1)
+        for theta in (optimum, perturbed):
+            cases.append((fitted.u, fitted.w[None], fitted._s[None], fitted.n, theta))
+    for u, w, s, n, theta in cases:
+        grad, hess = contrast._plugin_gradient_hessian(u, w, s, n, *exp_phases(u, theta))
+        grad_ref, hess_ref = six_pass_gradient_hessian(u, w, s, n, theta.p, theta.alpha,
+                                                       theta.beta)
+        assert_rows_close(hess, hess_ref, 1e-13)
+        assert np.allclose(grad, grad_ref, rtol=1e-12, atol=1e-17)
+
+
+def test_shared_parameter_equals_it_tiled_over_rows():
+    ev, w, s, n, start = rainfall_downdated_rows()
+    p, ea, eb = exp_phases(ev.u, start)
+    shared = contrast._plugin_gradient_hessian(ev.u, w, s, n, p, ea, eb)
+    rows = len(s)
+    tiled = contrast._plugin_gradient_hessian(ev.u, w, s, n, np.tile(p, (rows, 1)),
+                                              np.tile(ea, (rows, 1)), np.tile(eb, (rows, 1)))
+    for a, b in zip(shared, tiled):
+        assert a.shape == b.shape and np.array_equal(a, b)

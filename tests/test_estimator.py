@@ -348,17 +348,25 @@ def test_leave_one_out_downdated_sums_equal_rebuilt_evaluators(name, loo_cases, 
     from symmix import estimator
 
     sample, theta_hat, _ = loo_cases[name]
-    first = []
+    calls = []
     newton_terms = estimator._plugin_gradient_hessian
 
-    def recording(u, w, s, n, *theta):
-        if not first:
-            first.append((u, w, s, n))
-        return newton_terms(u, w, s, n, *theta)
+    def recording(u, w, s, n, *rest):
+        calls.append((u, w, s, n, *rest))
+        return newton_terms(u, w, s, n, *rest)
 
     monkeypatch.setattr(estimator, "_plugin_gradient_hessian", recording)
     leave_one_out_thetas(sample, theta_hat)
-    u, w, s, n = first[0]
+    u, w, s, n, p, ea, eb = calls[0]
+    # every refit's first step is at theta_hat: one row of phases serves them all
+    assert p.shape == (1, 1) and ea.shape == eb.shape == (1, u.size)
+    # later steps: one row of phases per refit still running
+    live = len(s)
+    for _, w_live, s_live, _, p, ea, eb in calls[1:]:
+        assert len(s_live) <= live
+        live = len(s_live)
+        assert w_live.shape == s_live.shape == ea.shape == eb.shape == (live, u.size)
+        assert p.shape == (live, 1)
     evs, _ = rebuilt_evaluators(sample)
     assert n == sample.n - 1 and w.shape == (sample.n, u.size)
     for k, ev in enumerate(evs):
@@ -384,6 +392,18 @@ def test_leave_one_out_matches_per_observation_descent(name, loo_cases):
         grad_got = max(grad_got, np.max(np.abs(g_got)))
         grad_ref = max(grad_ref, np.max(np.abs(g_ref)))
     assert grad_got <= grad_ref
+
+
+def test_leave_one_out_needs_ten_observations():
+    import warnings
+
+    values = gauss_sample(10).values
+    for n in (2, 9):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SampleTooSmall, match="n >= 10"):
+                leave_one_out_thetas(Sample(values[:n]), THETA0)
+    assert len(leave_one_out_thetas(Sample(values), THETA0)) == 10
 
 
 def test_leave_one_out_falls_back_to_descent(loo_cases, monkeypatch):

@@ -37,13 +37,18 @@ keeps: O(Q) numbers, whatever n is.  The sandwich's score outer product is
 not such a sum at every theta; it is formed in one more pass over the
 sample, at the estimate only.
 
-Both passes read the features through one phase kernel.  A composite
-Gauss-Legendre rule of equal panels puts its folded nodes on a lattice
-u = c_j + d_p of J panel centres and P shared offsets (16 panels of 8 at the
-default rule), so e^{iuX} = e^{i c_j X} e^{i d_p X} costs J + P
-exponentials per observation instead of Q; a rule that is not such a
-lattice is one panel, c = 0 and d = u.  The way back, sum_u coef(u) e^{iuy}
-at points y, is the panel transform `_panel_sums`, shared with the density.
+Both passes read the features through one phase kernel, `_phases`.  A
+composite Gauss-Legendre rule of equal panels puts its folded nodes on a
+lattice u = c_j + d_p of J panel centres and P shared offsets (16 panels of
+8 at the default rule), so e^{iuX} = e^{i c_j X} e^{i d_p X} costs J + P
+phases per observation instead of Q; a rule that is not such a lattice is
+one panel, c = 0 and d = u.  Each phase is one tangent of its own half
+angle, t = tan(uX/2), as cos = (1 - t^2)/(1 + t^2) and sin = 2t/(1 + t^2),
+within 4.5e-16 of cos and sin.  The way back, sum_u coef(u) e^{iuy} at
+points y, is the panel transform `_panel_sums`, shared with the density.
+The score pass recomputes the phases the evaluator's pass computed rather
+than keep them: 384 B per observation (19 MB at n = 50,000) against the
+evaluator's O(Q) numbers.
 
 Values, gradients and the sandwich covariance pieces all come from one
 derivative block (1/M, Mdot/M^2) on the nodes: V_n is the weighted sum of
@@ -56,7 +61,8 @@ the value and gradient, on a batch of node sums, weights and parameters,
 for the leave-one-out refits.  `_block` takes each parameter's phases
 e^{iu alpha} and e^{iu beta} rather than its locations, so a caller that
 has them from the phase kernel, or shares one parameter across the batch,
-computes them once.
+computes them once.  `ContrastEvaluator._block`, the search path of every
+fit, takes them from np.exp: they are O(Q) per evaluation, not n-sized.
 """
 
 from __future__ import annotations
@@ -138,16 +144,29 @@ def _lattice(u: np.ndarray):
 def _phases(x: np.ndarray, c: np.ndarray, d: np.ndarray):
     """Centre and offset phases exp(i outer(x, c)) and exp(i outer(x, d)), (B, J) and (B, P).
 
-    Every entry is its own cos and sin, not a recurrence, so its rounding
-    does not grow with the number of panels.  e^{i u X_k} at node
+    Every entry comes from one tangent of its own half angle,
+    t = tan(x u / 2): cos = (1 - t^2)/(1 + t^2) and sin = 2t/(1 + t^2).
+    numpy's float64 tan is vectorized where the CPU allows, several times
+    cheaper than its cos and sin for arguments past a few radians.  No
+    entry is a recurrence, so its rounding does not grow with the number
+    of panels; each part is within 4.5e-16 of cos and sin, |e| within
+    4.5e-16 of 1, the entries at node 0 are exactly 1, and every entry of
+    a finite argument is finite (|t| of a double stays far below overflow).
+    A CPU without a vectorized tan takes the same formula through its
+    scalar tan, which can differ in the last bits.  e^{i u X_k} at node
     u = c[j] + d[p] is the product of entries (k, j) and (k, p).
     """
     out = []
     for nodes in (c, d):
-        arg = np.outer(x, nodes)
-        e = np.empty(arg.shape, dtype=complex)
-        np.cos(arg, out=e.real)
-        np.sin(arg, out=e.imag)
+        t = np.multiply.outer(x, 0.5 * nodes)
+        np.tan(t, out=t)
+        # e itself holds t^2 and 1 + t^2 on the way, so a factor allocates two arrays
+        e = np.empty(t.shape, dtype=complex)
+        re, im = e.real, e.imag
+        np.multiply(t, t, out=re)
+        np.add(re, 1.0, out=im)
+        np.divide(np.subtract(1.0, re, out=re), im, out=re)
+        np.divide(np.add(t, t, out=t), im, out=im)
         out.append(e)
     return out
 
@@ -161,7 +180,7 @@ def _panel_sums(coef: np.ndarray, c: np.ndarray, d: np.ndarray, y: np.ndarray, w
     """sum_u coef[r, u] e^{iuy} on the lattice u = c_j + d_p, per block of `_blocks(y.size, width)`.
 
     coef (R, q) holds coefficients on the first q nodes, zero-padded to R
-    rows of J panels of P; a point costs J + P exponentials (`_phases`) and
+    rows of J panels of P; a point costs J + P phases (`_phases`) and
     no (B, q) array is formed.  Yields (slice, values of shape (B, R)).
     """
     g = np.pad(coef, ((0, 0), (0, c.size * d.size - coef.shape[1]))).reshape(-1, d.size)

@@ -17,9 +17,10 @@ ghat*(u) / M(theta, u) becomes (1/n) sum_k e^{iuX_k} / M(theta_k, u).
 The U equispaced nodes are built as a lattice u = c_a + d_p of A panel
 starts and P ~ sqrt(U) offsets, so every phase e^{iuy} is the product
 e^{i c_a y} e^{i d_p y} of two entries of `contrast._phases`, the phase
-kernel the contrast evaluator uses: a data point, a leave-one-out location
-or an output point costs A + P exponentials instead of U.  The output sum
-is `contrast._panel_sums`, the panel transform of the sandwich's score pass.
+kernel the contrast evaluator uses (one half-angle tangent per entry): a
+data point, a leave-one-out location or an output point costs A + P phases
+instead of U.  The output sum is `contrast._panel_sums`, the panel
+transform of the sandwich's score pass.
 
 The data and the locations are first centred at the sample median m.  Each
 ratio e^{iuX} / M(theta, u) is unchanged by a common shift, so f_n is the
@@ -192,7 +193,7 @@ def deconvolved_density_values(sample: Sample, theta: EuclideanParam,
     Every phase comes from `contrast._phases` on the u-grid's lattice
     u = c_a + d_p (see `_u_grid`): e^{iuy} = e^{i c_a y} e^{i d_p y}, so a
     data point, a leave-one-out location or an output point costs A + P
-    exponentials instead of U.  ghat* is C^T O over blocks of observations,
+    phases instead of U.  ghat* is C^T O over blocks of observations,
     and f_n at xs is the shared panel transform `contrast._panel_sums` of
     the coefficients at -xs.  Observation and point sums run over blocks of
     about _BLOCK_ELEMENTS / U rows, so memory does not grow with n or xs.

@@ -395,6 +395,24 @@ def test_panel_phases_equal_literal_features(rule, window, panels):
     assert close(ev.information_and_score(theta, x)[1], u_k.T @ u_k / (4.0 * n))
 
 
+def test_phase_kernel_matches_cos_and_sin():
+    # arguments from 0 to 1e15, odd multiples of pi (where the half-angle
+    # tangent is largest) and random ones, of both signs; node 0 is a centre
+    odd = 2.0 * np.concatenate([np.arange(-5000, 5000), np.arange(10 ** 6, 10 ** 6 + 5000),
+                                10.0 ** np.arange(3, 15)]) + 1.0
+    x = np.concatenate([np.linspace(0.0, 100.0, 20001), np.logspace(-12, 15, 20001),
+                        odd * np.pi, np.random.default_rng(5).uniform(-1e4, 1e4, 20000)])
+    x = np.concatenate([x, -x])
+    c, d = np.array([0.0, 1.0]), np.array([1.0, -1.0, 0.75])
+    for nodes, e in zip((c, d), contrast._phases(x, c, d)):
+        arg = np.outer(x, nodes)
+        assert np.all(np.isfinite(e))
+        assert np.max(np.abs(e.real - np.cos(arg))) <= 4.5e-16
+        assert np.max(np.abs(e.imag - np.sin(arg))) <= 4.5e-16
+        assert np.max(np.abs(np.abs(e) - 1.0)) <= 4.5e-16
+    assert np.all(contrast._phases(x, c, d)[0][:, 0] == 1.0 + 0.0j)
+
+
 def test_evaluator_state_is_linear_in_rule_nodes():
     # no (2Q, 2Q) matrix: 128 MiB at 4,096 nodes
     rule = build_weight_rule("laplace_default", 4096, 30.0)

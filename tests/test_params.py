@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symmix import (DEFAULT_BOX, DegenerateParam, EuclideanParam, ParamBox, Sample,
@@ -40,12 +40,23 @@ def test_m_modulus_sq_reference_value():
 
 
 @given(orderable, freqs)
+@example((0.46875, -5.29500925767946, 29.999999999999996), 29.999999999999996)
 @settings(max_examples=200, deadline=None)
 def test_m_modulus_sq_matches_m_func(t, u):
+    # Both forms are exact up to how their phases round.  With eps the machine
+    # epsilon, fl(u a) is off by at most |u a| eps / 2, so each e^{iu a} of
+    # m_func is off by that plus about eps, and |dM| <= |u| (|a| + |b|) eps / 2
+    # + 3 eps; |M| <= 1, so |M|^2 moves by at most 2 |dM|.  The closed form's
+    # u (a - b) is off by at most |u| (|a| + |b|) eps, scaled by 2p(1 - p) <= 1/2,
+    # plus a few eps for its sums.  Together under 16 eps (1 + |u| (|a| + |b|)):
+    # near |u a| = 1,000 rad that is about 4e-12 absolute, far more than 1e-12
+    # of a small |M|^2, so the bound is absolute and grows with |u|.
     theta = EuclideanParam(*t)
     direct = abs(m_func(theta, u)) ** 2
     closed = m_modulus_sq(theta, u)
-    assert closed == pytest.approx(direct, rel=1e-12, abs=1e-14)
+    eps = np.finfo(float).eps
+    bound = 16.0 * eps * (1.0 + abs(u) * (abs(theta.alpha) + abs(theta.beta)))
+    assert abs(closed - direct) <= bound
 
 
 @given(orderable, freqs)

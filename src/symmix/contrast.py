@@ -26,8 +26,10 @@ Two empirical criteria are built from it on a weight rule W truncated to
 Both factorize over observations: with v_k = Im psi_k,
 sum_{j != k} v_j v_k = (sum_k v_k)^2 - sum_k v_k^2, so one evaluation costs
 O(Q) after one O(nQ) pass over the sample (Q = active nodes, with +-u
-folded onto |u|; see ContrastEvaluator).  Every statistic is built from
-imaginary parts: its reality is structural, not numerical.
+folded onto |u| once, exactly for any rule; the fit's smoothing is even in
+u and multiplies the folded weights; see ContrastEvaluator).  Every
+statistic is built from imaginary parts: its reality is structural, not
+numerical.
 
 Every statistic here is linear or quadratic in the features e^{iuX_k} on
 the nodes, so the sample enters the objective only through the empirical
@@ -72,7 +74,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadCharacteristicFunction, BadSmoothness, SampleTooSmall
+from .errors import BadCharacteristicFunction, SampleTooSmall
 from .params import EuclideanParam, Sample, m_func
 from .weights import _NODES_PER_PANEL, WeightRule
 
@@ -190,16 +192,14 @@ def _panel_sums(coef: np.ndarray, c: np.ndarray, d: np.ndarray, y: np.ndarray, w
         yield blk, np.matmul(t, cen[:, :, None])[..., 0]
 
 
-def default_trunc_h(n: int, beta_assumed: float = 1.0, cutoff: float = 30.0) -> float:
+def default_trunc_h(n: int, cutoff: float = 30.0) -> float:
     """Truncation parameter h = n^{-1/2} / log n, kept so that 1/h <= cutoff.
 
-    Valid only for assumed Sobolev smoothness above 1/4 (below that the
+    The rate rule assumes Sobolev smoothness above 1/4 (below that the
     squared bias cannot be driven under the variance at any truncation).
     """
     if n < 2:
         raise SampleTooSmall("need n >= 2")
-    if not beta_assumed > 0.25:
-        raise BadSmoothness(f"rate rule requires smoothness > 1/4, got {beta_assumed}")
     h = 1.0 / (math.sqrt(n) * math.log(n))
     if math.isfinite(cutoff):
         h = max(h, 1.0 / cutoff)
@@ -311,10 +311,8 @@ def j_func(gstar, theta: EuclideanParam, u) -> np.ndarray:
 class ContrastEvaluator:
     """Per-sample cache making repeated contrast evaluations O(Q).
 
-    weight_factor, if given, multiplies the rule weights node-wise (used by
-    the estimator to fold characteristic-function smoothing into the
-    objective).  One pass over blocks of observations keeps the empirical
-    characteristic function at u and at 2u, the complex node sums
+    One pass over blocks of observations keeps the empirical characteristic
+    function at u and at 2u, the complex node sums
     S = sum_k e^{iuX_k} = C^T O and S2 = sum_k e^{2iuX_k} = (C o C)^T (O o O),
     with C and O a block's centre and offset phases on the nodes' panel
     lattice (see `_lattice` and `_phases`): O(Q) numbers, nothing of size n.
@@ -330,19 +328,23 @@ class ContrastEvaluator:
     The active nodes are folded onto |u|: M(-u) = conj M(u) makes
     v_k(-u) = -v_k(u) and its gradient odd too, so every integrand here is
     even and the weights of u and -u can be summed onto one node.  The fold
-    is exact for any rule, symmetric or not; `u` and `w` hold the folded
-    nodes (sorted, nonnegative) and weights, half the rule's for a mirrored
-    rule.
+    is exact for any rule, symmetric or not, and is done once: `u` holds the
+    folded nodes (sorted, nonnegative), half the rule's for a mirrored rule,
+    and nothing of the rule's own size is kept.  The smoothing of the
+    empirical characteristic function at bandwidth `smoothing` is even in u
+    too, so it multiplies the folded weights: `w` = folded rule weights
+    times exp(-(smoothing u)^2).
     """
 
-    def __init__(self, sample: Sample, cfg: ContrastConfig, weight_factor=None):
+    def __init__(self, sample: Sample, cfg: ContrastConfig, smoothing: float = 0.0):
         if sample.n < 2:
             raise SampleTooSmall("contrast needs at least two observations")
-        rule = cfg.weight_rule
-        self._mask = _window(cfg)
-        self._rule_w = rule.weights[self._mask]
-        self.u, self._fold = np.unique(np.abs(rule.nodes[self._mask]), return_inverse=True)
-        self.w = self._folded_weights(weight_factor)
+        win = _window(cfg)
+        nodes = np.abs(cfg.weight_rule.nodes[win])
+        self.u = np.unique(nodes)
+        self._rule_w = np.bincount(np.searchsorted(self.u, nodes), cfg.weight_rule.weights[win],
+                                   self.u.size)
+        self.w = self._smoothed_weights(smoothing)
         self.n = sample.n
         self._c, self._d = _lattice(self.u)
         q = self.u.size
@@ -363,18 +365,12 @@ class ContrastEvaluator:
         return _block(u, self._s, theta.p, np.exp(1j * u * theta.alpha),
                       np.exp(1j * u * theta.beta))[:4]
 
-    def _folded_weights(self, weight_factor=None) -> np.ndarray:
-        """The rule's weights inside the window, times weight_factor if given, folded onto `u`.
+    def _smoothed_weights(self, b) -> np.ndarray:
+        """The folded rule weights times the smoothing factor exp(-(b u)^2) of bandwidth b.
 
-        weight_factor has the rule's nodes on its last axis; leading axes
-        give one set of folded weights each, summed in the same order.
+        b is a scalar or an array of bandwidths, each giving one row of weights.
         """
-        w = self._rule_w
-        if weight_factor is not None:
-            w = w * np.asarray(weight_factor, dtype=float)[..., self._mask]
-        out = np.zeros(w.shape[:-1] + self.u.shape)
-        np.add.at(out.T, self._fold, w.T)
-        return out
+        return self._rule_w * np.exp(-np.multiply.outer(b, self.u) ** 2)
 
     def _squares(self, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         """sum_k Im(y e^{iuX_k}) Im(z e^{iuX_k}) = (n Re(y conj z) - Re(y z S2)) / 2 node-wise."""

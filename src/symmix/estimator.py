@@ -28,7 +28,7 @@ same estimate as `fit` on the same data, bit for bit.
 
 One frame (`_Frame`, built by `_frame`) holds what these share: the
 centred sample and its median, its robust scale, computed once, from which
-the default configuration and the smoothing factor both come, the contrast
+the default configuration and the smoothing bandwidth both come, the contrast
 configuration and the fit objective's evaluator.  `fit`,
 `asymptotic_covariance`, `leave_one_out_thetas` and `symmix scan` each
 build it once and pass it down.  It is not kept on the FitResult: the
@@ -66,7 +66,7 @@ __all__ = [
 ]
 
 # standardized-scale bandwidth multiplier of the characteristic-function
-# smoothing folded into the fit objective: b_n = SMOOTH_C * n^{-1/4}
+# smoothing of the fit objective: b_n = SMOOTH_C * n^{-1/4}
 SMOOTH_C = 1.0
 
 
@@ -163,10 +163,9 @@ def initial_points(sample: Sample, cfg: FitConfig) -> list[EuclideanParam]:
     return pts[: cfg.starts]
 
 
-def _smoothing_factor(cfg: ContrastConfig, n: int, scale: float) -> np.ndarray:
-    """Squared Gaussian kernel transform at bandwidth SMOOTH_C * n^{-1/4} (standardized)."""
-    b = SMOOTH_C * n ** -0.25 * scale
-    return np.exp(-(b * cfg.weight_rule.nodes) ** 2)
+def _smoothing(n: int, scale):
+    """Bandwidth b = SMOOTH_C * n^{-1/4} * scale of the fit's smoothing factor exp(-(b u)^2)."""
+    return SMOOTH_C * n ** -0.25 * scale
 
 
 def _centred(sample: Sample) -> tuple[Sample, float]:
@@ -189,9 +188,8 @@ def _shift(theta: EuclideanParam, c: float) -> EuclideanParam:
 
 
 def _smoothed_evaluator(sample: Sample, ccfg: ContrastConfig, scale: float) -> ContrastEvaluator:
-    """Evaluator of the fit objective: rule weights times the smoothing factor of `scale`."""
-    return ContrastEvaluator(sample, ccfg,
-                             weight_factor=_smoothing_factor(ccfg, sample.n, scale))
+    """Evaluator of the fit objective: rule weights smoothed at the bandwidth of `scale`."""
+    return ContrastEvaluator(sample, ccfg, _smoothing(sample.n, scale))
 
 
 @dataclass(frozen=True, slots=True)
@@ -427,7 +425,7 @@ def _newton_refits(frame: _Frame, scales: np.ndarray, start: EuclideanParam, box
     # Q = 128 and 2,048), 17 in the shared first step
     for blk in _blocks(n, 24 * ev.u.size):
         s = ev._s - ev._features(x[blk])
-        w = ev._folded_weights(_smoothing_factor(frame.ccfg, n - 1, scales[blk, None]))
+        w = ev._smoothed_weights(_smoothing(n - 1, scales[blk]))
         th, done = thetas[blk], ok[blk]          # views: written in place
         live = np.arange(th.shape[0])
         for it in range(_NEWTON_MAX_ITER):

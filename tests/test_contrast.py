@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from symmix import (BadCharacteristicFunction, BadSmoothness, ContrastConfig,
-                    ContrastEvaluator, EuclideanParam, SampleTooSmall, Sample,
-                    build_weight_rule, contrast_gradient, default_trunc_h,
-                    empirical_contrast, j_func, m_func, oracle_contrast,
-                    plugin_contrast, z_score, z_score_gradient)
+from symmix import (BadCharacteristicFunction, ContrastConfig, ContrastEvaluator,
+                    EuclideanParam, SampleTooSmall, Sample, build_weight_rule,
+                    contrast_gradient, default_trunc_h, empirical_contrast, j_func,
+                    m_func, oracle_contrast, plugin_contrast, z_score, z_score_gradient)
 from symmix import contrast
 from symmix.contrast import m_dot
 from symmix.simulate import replication_rng
@@ -62,8 +61,6 @@ def test_default_trunc_h_decreases_unclipped():
 
 
 def test_default_trunc_h_smoothness_guard():
-    with pytest.raises(BadSmoothness):
-        default_trunc_h(100, beta_assumed=0.2)
     with pytest.raises(SampleTooSmall):
         default_trunc_h(1)
 
@@ -197,8 +194,9 @@ def test_gradient_matches_finite_differences():
 
 def test_plugin_gradient_matches_finite_differences():
     sample = gauss_sample(80)
-    factor = 1.0 + 0.3 * np.tanh(RULE.nodes)       # not even in u
-    ev = ContrastEvaluator(sample, CFG, weight_factor=factor)
+    # unequal weights on +-u, smoothed
+    ev = ContrastEvaluator(sample, ContrastConfig(_asymmetric_table(), trunc_h=1.0 / 30.0),
+                           smoothing=0.1)
     theta = EuclideanParam(0.3, -0.5, 1.7)
     _, grad = ev.plugin_value_gradient(theta)
     step = 1e-5
@@ -300,17 +298,18 @@ DEFAULT_BUDGET = contrast._BLOCK_ELEMENTS
 def test_folded_nodes_equal_full_node_evaluation(rule, n, budget, monkeypatch):
     monkeypatch.setattr(contrast, "_BLOCK_ELEMENTS", budget)
     cfg = ContrastConfig(rule, trunc_h=1.0 / 30.0)
-    factor = 1.0 + 0.3 * np.tanh(rule.nodes)       # not even in u either
+    b = 0.1                                        # the smoothing bandwidth
     sample = gauss_sample(n)
     theta = EuclideanParam(0.3, -0.5, 1.7)
-    ev = ContrastEvaluator(sample, cfg, weight_factor=factor)
+    ev = ContrastEvaluator(sample, cfg, smoothing=b)
     if budget < DEFAULT_BUDGET:     # the evaluator's passes take blocks sized for (2Q, block)
         assert len(contrast._blocks(n, 2 * ev.u.size)) >= 3
     assert np.all(ev.u >= 0.0) and np.all(np.diff(ev.u) > 0.0)
     assert ev.u.size == np.unique(np.abs(rule.nodes)).size < rule.nodes.size
 
     # literal evaluation on every node of the rule, complex arithmetic
-    u, w, x, n = rule.nodes, rule.weights * factor, sample.values, sample.n
+    u, x, n = rule.nodes, sample.values, sample.n
+    w = rule.weights * np.exp(-(b * u) ** 2)
     e = np.exp(1j * np.outer(u, x))
     m = m_func(theta, u)
     v = np.imag(e / m[:, None])                                    # (Q, n)
@@ -335,6 +334,56 @@ def test_folded_nodes_equal_full_node_evaluation(rule, n, budget, monkeypatch):
     assert close(ev.u_statistic_gradient(theta), pair_grad)
     got_info, got_v_hat = ev.information_and_score(theta, sample.values)
     assert close(got_info, info) and close(got_v_hat, v_hat)
+
+
+def literal_fold(rule, trunc_h, factor):
+    """rule.weights * factor inside the window, summed onto |u| entry by entry with np.add.at.
+
+    factor has the rule's nodes on its last axis; each leading row is folded on its own.
+    """
+    inside = np.abs(rule.nodes) <= (1.0 / trunc_h) * (1.0 + 1e-12)
+    nodes = np.abs(rule.nodes[inside])
+    u = np.unique(nodes)
+    w = rule.weights[inside] * factor[..., inside]
+    out = np.zeros(w.shape[:-1] + u.shape)
+    np.add.at(out.T, np.searchsorted(u, nodes), w.T)
+    return out
+
+
+@pytest.mark.parametrize("nodes", [256, 512, 250, 4096, None],
+                         ids=["default-256", "default-512", "default-250", "default-4096",
+                              "asymmetric"])
+def test_weights_folded_once_equal_literal_fold(nodes):
+    # the smoothing exp(-(b u)^2) multiplies the folded weights; a mirrored rule
+    # gives the literal fold of the smoothed weights bit for bit, any other rule
+    # within the rounding of a sum of two products
+    from symmix.cli import rainfall_path, read_numeric_csv
+    from symmix.estimator import _frame, _loo_scales, _smoothing
+
+    sample = Sample(read_numeric_csv(rainfall_path()))
+    rule = _asymmetric_table() if nodes is None else \
+        build_weight_rule("laplace_default", nodes, _frame(sample).ccfg.weight_rule.cutoff)
+    # for the default rules this is the fit's own truncation on these data
+    ccfg = ContrastConfig(rule, trunc_h=1.0 / rule.cutoff)
+    frame = _frame(sample, ccfg)
+    ev, x, n = frame.ev, frame.centred.values, sample.n
+    b = _smoothing(n, frame.scale)
+    b_loo = _smoothing(n - 1, _loo_scales(x))
+    got = [ContrastEvaluator(frame.centred, ccfg).w, ev.w, ev._smoothed_weights(b_loo)]
+    want = [literal_fold(rule, ccfg.trunc_h, np.ones(rule.nodes.size)),
+            literal_fold(rule, ccfg.trunc_h, np.exp(-(b * rule.nodes) ** 2)),
+            literal_fold(rule, ccfg.trunc_h, np.exp(-(b_loo[:, None] * rule.nodes) ** 2))]
+    assert got[2].shape == (n, ev.u.size)
+    for g, w in zip(got, want):
+        if rule.density_id == "laplace_default":
+            assert np.array_equal(g, w)
+        else:
+            # (a + a') f against a f + a' f: a few roundings, relative above the
+            # normal range and of one subnormal step below it
+            tiny = np.finfo(float).smallest_subnormal
+            assert np.all(np.abs(g - w) <= 1e-15 * np.abs(w) + 2 * tiny)
+    # nothing of the rule's own size is kept
+    assert all(np.size(v) < rule.nodes.size for v in vars(ev).values())
 
 
 def test_evaluator_state_does_not_grow_with_n():
@@ -534,13 +583,13 @@ def six_pass_gradient_hessian(u, w, s, n, p, alpha, beta):
 def rainfall_downdated_rows():
     """Rainfall's leave-one-out problems: weights, downdated node sums, n - 1 and the start."""
     from symmix.cli import rainfall_path, read_numeric_csv
-    from symmix.estimator import _frame, _loo_scales, _shift, _smoothing_factor
+    from symmix.estimator import _frame, _loo_scales, _shift, _smoothing
     from symmix import fit
 
     sample = Sample(read_numeric_csv(rainfall_path()))
     frame = _frame(sample)
     ev, x = frame.ev, frame.centred.values
-    w = ev._folded_weights(_smoothing_factor(frame.ccfg, ev.n - 1, _loo_scales(x)[:, None]))
+    w = ev._smoothed_weights(_smoothing(ev.n - 1, _loo_scales(x)))
     return ev, w, ev._s - ev._features(x), ev.n - 1, _shift(fit(sample).theta_hat, -frame.m)
 
 

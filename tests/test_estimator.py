@@ -118,10 +118,8 @@ def test_fit_objective_not_above_start_values():
     ccfg = default_contrast_config(sample)
     res = fit(sample, cfg, ccfg)
     from symmix import ContrastEvaluator
-    from symmix.estimator import _smoothing_factor, robust_scale
-    ev = ContrastEvaluator(sample, ccfg,
-                           weight_factor=_smoothing_factor(ccfg, sample.n,
-                                                           robust_scale(sample.values)))
+    from symmix.estimator import _smoothing, robust_scale
+    ev = ContrastEvaluator(sample, ccfg, _smoothing(sample.n, robust_scale(sample.values)))
     for pt in initial_points(sample, cfg):
         assert res.objective_at_opt <= ev.plugin(pt) + 1e-12
 

@@ -60,11 +60,12 @@ the curvature 2 J W J^T and the score outer product for the sandwich.  The
 exact Hessian 2 J W J^T + 2 sum_q w_q r_q grad^2 r_q adds the second
 derivatives of 1/M (`_plugin_gradient_hessian`); it is computed apart from
 the value and gradient, on a batch of node sums, weights and parameters,
-for the leave-one-out refits.  `_block` takes each parameter's phases
-e^{iu alpha} and e^{iu beta} rather than its locations, so a caller that
-has them from the phase kernel, or shares one parameter across the batch,
-computes them once.  `ContrastEvaluator._block`, the search path of every
-fit, takes them from np.exp: they are O(Q) per evaluation, not n-sized.
+for the Newton steps of the fit's polish and of the leave-one-out refits.
+`_block` takes each parameter's phases e^{iu alpha} and e^{iu beta} rather
+than its locations, so a caller that has them from the phase kernel, or
+shares one parameter across the batch, computes them once.
+`ContrastEvaluator._block`, the search path of every fit, takes them from
+np.exp: they are O(Q) per evaluation, not n-sized.
 """
 
 from __future__ import annotations

@@ -9,22 +9,31 @@ wells near p = 1/2 (depth growing like (1-2p)^{-2}) instead of the
 statistically meaningful minimum.  The plug-in criterion has the same
 population limit and no such wells.
 
-Optimization is one bounded L-BFGS-B descent per start on (p, alpha, beta)
-directly, with p held in the box and the analytic gradient of the plug-in
-contrast.  Candidates that collapse onto the box edge in p or merge the two
-locations are set aside as degenerate; the smallest objective among the
-remaining candidates wins.  Leave-one-out refits start from the full-sample
-estimate and run Newton's method on the exact Hessian of the same objective,
-all n at once: each reduced sample's node sums are the full sample's minus
-one observation's features, and its weights differ only through its robust
-scale.  A refit that Newton does not settle falls back to the descent on
-the reduced sample's own evaluator.  Every fit statistic is computed on
-the sample centred at its median, which changes nothing in exact
-arithmetic (see `_centred`) and makes the estimate translation-equivariant
-in floating point.  The default contrast configuration (the weight rule's
-cutoff and the truncation) is computed from the centred sample's scale as
-well, by `fit` and by the command line alike, so `symmix fit` reports the
-same estimate as `fit` on the same data, bit for bit.
+Optimization has two primitives, a descent and Newton's method, and the fit
+and the leave-one-out refits use both.  The descent is one bounded L-BFGS-B
+run per start on (p, alpha, beta) directly, with p held in the box and the
+analytic gradient of the plug-in contrast.  Candidates that collapse onto
+the box edge in p or merge the two locations are set aside as degenerate;
+the smallest objective among the remaining candidates wins.  L-BFGS-B stops
+where the objective is flat to its rounding, so where the winner ends
+depends on the path.  The winner is then polished by `_newton`, steps on
+the exact Hessian from the winner to the contrast's gradient root, and the
+estimate is that root, the same within rounding in any row order of the
+data.  The descent's point is kept when Newton refuses the row, the polish
+merges the locations or moves farther than the starts' agreement tolerance;
+the ranking, the agreement count, `converged` and the degenerate decision
+read the descent.  Leave-one-out refits start from the full-sample estimate
+and run the same `_newton`, all n at once: each reduced sample's node sums
+are the full sample's minus one observation's features, and its weights
+differ only through its robust scale.  A refit that Newton refuses falls
+back to the descent on the reduced sample's own evaluator.  Every fit
+statistic is computed on the sample centred at its median, which changes
+nothing in exact arithmetic (see `_centred`) and makes the estimate
+translation-equivariant in floating point.  The default contrast
+configuration (the weight rule's cutoff and the truncation) is computed
+from the centred sample's scale as well, by `fit` and by the command line
+alike, so `symmix fit` reports the same estimate as `fit` on the same data,
+bit for bit.
 
 One frame (`_Frame`, built by `_frame`) holds what these share: the
 centred sample and its median, its robust scale, computed once, from which
@@ -77,8 +86,9 @@ class FitConfig:
     box: ParamBox = field(default_factory=ParamBox)
 
     def __post_init__(self):
-        if self.starts < 1:
-            raise ValueError("starts must be >= 1")
+        for name in ("starts", "max_iter"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -235,8 +245,11 @@ def fit(sample: Sample, cfg: FitConfig | None = None,
     The fit runs on the sample centred at its median m and adds m back to
     the locations.  Each start of `initial_points` runs one bounded descent
     (at most cfg.max_iter L-BFGS-B iterations); the result is `converged`
-    unless the winning start hit that limit.  The reported statistics are
-    those of the reported estimate.
+    unless the winning start hit that limit.  The winner is polished by
+    Newton's method to the gradient root of the contrast, unless Newton
+    refuses it, merges the locations or leaves the winner's basin (see the
+    module docstring).  The reported statistics are those of the reported
+    estimate.
 
     Raises SampleTooSmall below 10 observations and DegenerateFit when every
     optimization path collapses to the p-boundary or merges the locations
@@ -251,13 +264,14 @@ def fit(sample: Sample, cfg: FitConfig | None = None,
 def _fit(frame: _Frame, cfg: FitConfig) -> FitResult:
     """`fit` in a frame built by `_frame` (of at least 10 observations)."""
     box, ccfg, ev, m = cfg.box, frame.ccfg, frame.ev, frame.m
+    sep = max(box.sep_min, 1e-3 * frame.scale)
     candidates = []
     for start in initial_points(frame.centred, cfg):
         res = _descend(ev, start, cfg)
         p, a, b = (float(v) for v in res.x)
         pinned = p <= box.p_low + 1e-3 * (box.p_high - box.p_low) \
             or p >= box.p_high - 1e-3 * (box.p_high - box.p_low)
-        merged = abs(a - b) < max(box.sep_min, 1e-3 * frame.scale)
+        merged = abs(a - b) < sep
         candidates.append({
             "theta": (p, a, b),
             "objective": float(res.fun),
@@ -275,13 +289,18 @@ def _fit(frame: _Frame, cfg: FitConfig) -> FitResult:
     # smallest objective wins; ties broken by canonical lexicographic order
     valid.sort(key=lambda c: (c["objective"], c["theta"]))
     best = valid[0]
-    theta_hat = _shift(canonicalize(best["theta"], box), m)
-    # the reported estimate back in the fit's frame, as `symmix scan` maps it
-    at = _shift(theta_hat, -m)
-
     ref = np.array(best["theta"])
     tol_agree = 1e-3 * max(1.0, float(np.max(np.abs(ref))))
     agree = sum(bool(np.max(np.abs(np.array(c["theta"]) - ref)) <= tol_agree) for c in valid)
+
+    # the winner polished to the gradient root, unless Newton refuses it, merges
+    # the locations or leaves the winner's basin
+    (polished,), (ok,) = _newton(ev, ev._s[None], ev.w[None], ev.n, EuclideanParam(*ref), box)
+    if ok and abs(polished[1] - polished[2]) >= sep and np.max(np.abs(polished - ref)) <= tol_agree:
+        ref = polished
+    theta_hat = _shift(canonicalize(ref, box), m)
+    # the reported estimate back in the fit's frame, as `symmix scan` maps it
+    at = _shift(theta_hat, -m)
 
     cov, sigma_form = _covariance_with_fallback(ev, at, frame.centred.values)
     std_errors = np.sqrt(np.maximum(np.diag(cov), 0.0) / ev.n)
@@ -385,65 +404,72 @@ def _loo_scales(x: np.ndarray) -> np.ndarray:
     return scales
 
 
-# Newton iterations a leave-one-out refit gets before it falls back to `_descend`
+# Newton iterations a fit's polish or a leave-one-out refit gets before it is refused
 _NEWTON_MAX_ITER = 30
-# a Newton step this small, relative to the parameter, ends a refit
+# a Newton step this small, relative to the parameter, ends a row
 _NEWTON_STEP_TOL = 1e-12
 
 
-def _refit_params(ev: ContrastEvaluator, thetas: np.ndarray):
-    """p, shape (B, 1), and the phases e^{iu alpha}, e^{iu beta}, each (B, Q), of parameter rows.
+def _newton(ev: ContrastEvaluator, s: np.ndarray, w: np.ndarray, n: int,
+            start: EuclideanParam, box: ParamBox):
+    """Newton's method on the exact Hessian of the plug-in contrast, one row per problem.
 
-    The phases come from the evaluator's own phase kernel (`_features`).
+    Row i minimizes r^T W r on node sums s[i] of n observations and weights
+    w[i], both of shape (B, Q) on `ev`'s nodes, from `start`: the fit's
+    polish is a batch of one on the evaluator's own sums and weights, the
+    leave-one-out refits a batch of downdated ones.  Each row takes steps
+    H^{-1} grad until its step is at rounding level, so it ends at the
+    contrast's gradient root to the last bits whatever path led near it.
+    Every row starts at `start`, so the first step takes one row of phases
+    e^{iu alpha}, e^{iu beta}, computed once; later steps take one row per
+    row still running, from the evaluator's own phase kernel (`_features`).
+    Returns the rows' parameters, shape (B, 3), and a flag per row that is
+    False where it met a Hessian that is not finite or not positive
+    definite, did not settle within _NEWTON_MAX_ITER steps, or ended with p
+    outside the box.
     """
-    ea, eb = ev._features(thetas[:, 1:].T.ravel()).reshape(2, len(thetas), -1)
-    return thetas[:, :1], ea, eb
+    thetas = np.tile(start.as_array(), (len(s), 1))
+    ok = np.zeros(len(s), dtype=bool)
+    live = np.arange(len(s))
+    for it in range(_NEWTON_MAX_ITER):
+        if live.size == 0:
+            break
+        rows = thetas[:1] if it == 0 else thetas[live]
+        ea, eb = ev._features(rows[:, 1:].T.ravel()).reshape(2, len(rows), -1)
+        grad, hess = _plugin_gradient_hessian(ev.u, w[live], s[live], n, rows[:, :1], ea, eb)
+        posdef = np.isfinite(hess).all(axis=(1, 2)) & np.isfinite(grad).all(axis=1)
+        posdef[posdef] = np.linalg.eigvalsh(hess[posdef])[:, 0] > 0.0
+        live, grad, hess = live[posdef], grad[posdef], hess[posdef]
+        step = np.linalg.solve(hess, grad[..., None])[..., 0]
+        thetas[live] -= step
+        small = np.max(np.abs(step), axis=1) <= _NEWTON_STEP_TOL * np.maximum(
+            1.0, np.max(np.abs(thetas[live]), axis=1))
+        ok[live[small]] = True
+        live = live[~small]
+    ok &= (box.p_low <= thetas[:, 0]) & (thetas[:, 0] <= box.p_high)
+    return thetas, ok
 
 
 def _newton_refits(frame: _Frame, scales: np.ndarray, start: EuclideanParam, box: ParamBox):
-    """Every leave-one-out refit of the fit objective, by batched Newton from `start`.
+    """Every leave-one-out refit of the fit objective, by `_newton` from `start`.
 
     The frame's evaluator gives the node sums S of the full centred sample;
     refit k uses S - e^{iuX_k}, from the evaluator's own phase kernel, and
     the smoothed weights of the n - 1 remaining observations, which differ
     from the full sample's only through their robust scale, scales[k], so
-    all n refits are one batched problem.  Each runs Newton steps on the
-    exact Hessian until its step is at rounding level.  Every refit's first
-    step is at `start`, so one row of phases, computed once, serves them
-    all; later steps take one row per refit still running.  The batch runs
-    in blocks of about _BLOCK_ELEMENTS / (24 Q) refits, so the Hessian's
-    working set stays near _BLOCK_ELEMENTS reals whatever n is.  Returns
-    the refits, shape (n, 3), and a flag per refit that is False where it
-    did not converge within _NEWTON_MAX_ITER steps, met a Hessian that is
-    not positive definite, or ended outside the p-box.
+    all n refits are one batched problem.  The batch runs in blocks of
+    about _BLOCK_ELEMENTS / (24 Q) refits, so the Hessian's working set
+    stays near _BLOCK_ELEMENTS reals whatever n is.  Returns `_newton`'s
+    refits, shape (n, 3), and flags.
     """
     ev, x, n = frame.ev, frame.centred.values, frame.centred.n
-    thetas = np.tile(start.as_array(), (n, 1))
-    ok = np.zeros(n, dtype=bool)
-    first = _refit_params(ev, start.as_array()[None])
+    thetas, ok = np.empty((n, 3)), np.empty(n, dtype=bool)
     # the Hessian's arrays peak at about 24 reals per refit and node (tracemalloc,
     # Q = 128 and 2,048), 17 in the shared first step
     for blk in _blocks(n, 24 * ev.u.size):
-        s = ev._s - ev._features(x[blk])
-        w = ev._smoothed_weights(_smoothing(n - 1, scales[blk]))
-        th, done = thetas[blk], ok[blk]          # views: written in place
-        live = np.arange(th.shape[0])
-        for it in range(_NEWTON_MAX_ITER):
-            if live.size == 0:
-                break
-            params = first if it == 0 else _refit_params(ev, th[live])
-            grad, hess = _plugin_gradient_hessian(ev.u, w[live], s[live], n - 1, *params)
-            finite = np.isfinite(hess).all(axis=(1, 2)) & np.isfinite(grad).all(axis=1)
-            posdef = finite.copy()
-            posdef[finite] = np.linalg.eigvalsh(hess[finite])[:, 0] > 0.0
-            live, grad, hess = live[posdef], grad[posdef], hess[posdef]
-            step = np.linalg.solve(hess, grad[..., None])[..., 0]
-            th[live] -= step
-            small = np.max(np.abs(step), axis=1) <= _NEWTON_STEP_TOL * np.maximum(
-                1.0, np.max(np.abs(th[live]), axis=1))
-            done[live[small]] = True
-            live = live[~small]
-    ok &= (box.p_low <= thetas[:, 0]) & (thetas[:, 0] <= box.p_high)
+        thetas[blk], ok[blk] = _newton(ev, ev._s - ev._features(x[blk]),
+                                       ev._smoothed_weights(_smoothing(n - 1, scales[blk])),
+                                       n - 1, start, box)
     return thetas, ok
 
 
@@ -454,10 +480,11 @@ def leave_one_out_thetas(sample: Sample, theta_hat: EuclideanParam,
 
     Every refit runs in the full sample's centred frame (see `fit`), as one
     batched Newton solve on node sums downdated from a single full-sample
-    evaluator (see `_newton_refits`).  A refit whose Newton iteration does
-    not converge, meets a Hessian that is not positive definite, or ends
-    outside the p-box is redone by `_descend` on the rebuilt evaluator of
-    the reduced sample.  A refit whose locations merge returns theta_hat.
+    evaluator (see `_newton_refits`).  A refit that `_newton` refuses (it
+    does not converge, meets a Hessian that is not positive definite, or
+    ends outside the p-box) is redone by `_descend` on the rebuilt
+    evaluator of the reduced sample.  A refit whose locations merge returns
+    theta_hat.
     Raises SampleTooSmall below 10 observations, as `fit` does.
     """
     if sample.n < 10:

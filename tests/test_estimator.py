@@ -68,14 +68,91 @@ def test_fit_requires_ten_points():
         fit(Sample(np.arange(9.0)))
 
 
+def root_gap_bound(sample_a, sample_b, theta_a, shift=0.0):
+    """Bound on |theta_b - theta_a - (0, shift, shift)| for the fits' estimates of two samples.
+
+    sample_b is sample_a reordered, or moved by `shift`, so the two fit
+    objectives, each in its own centred frame, differ only by rounding: of
+    the node sums, and for a moved sample of the centred data and the
+    robust scale, with it the nodes and weights.  The estimates are the
+    objectives' gradient roots, so to first order they lie apart by at most
+    |H^{-1}| times the difference of the two computed gradients at one
+    point, theta_a in a's frame, plus each one's own rounding.  A gradient
+    term w_q s_c s_inv / n^2 passes through the phases (each within 4u, u
+    the unit roundoff), M, whose rounding relative to |M| >= 1 - 2p is at
+    most u / (1 - 2p), then 1/M, Mdot/M^2 and the two sums of imaginary
+    parts: 16 u / (1 - 2p) of each factor's magnitude covers them, and Q u
+    of the terms' magnitudes the sum over Q nodes.  The two frames' medians
+    differ by the shift up to an offset, taken exactly, and adding the
+    medians back and the comparison round once per estimate.
+    """
+    from fractions import Fraction
+
+    from symmix.contrast import _block, _plugin_gradient_hessian
+    from symmix.estimator import _frame
+
+    u_round = np.finfo(float).eps / 2
+    frame_a, frame_b = _frame(sample_a), _frame(sample_b)
+    p, a, b = theta_a.as_array() - [0.0, frame_a.m, frame_a.m]
+
+    def gradient(ev):
+        """The computed gradient and Hessian at theta_a, and a bound on the gradient's rounding."""
+        u, n, s = ev.u, ev.n, ev._s
+        ea, eb = np.exp(1j * u * a), np.exp(1j * u * b)
+        grad, hess = _plugin_gradient_hessian(u, ev.w, s, n, p, ea, eb)
+        inv, c, s_inv, s_c, _ = _block(u, s, p, ea, eb)
+        factors = np.abs(c) * np.abs(s) * np.abs(s_inv) + np.abs(s_c) * np.abs(inv) * np.abs(s)
+        terms = np.abs(s_c) * np.abs(s_inv)
+        rounding = 2.0 * u_round / n ** 2 * ((16.0 / (1.0 - 2.0 * p) * factors
+                                              + u.size * terms) @ ev.w)
+        return grad, hess, rounding
+
+    grad_a, hess, rounding_a = gradient(frame_a.ev)
+    grad_b, _, rounding_b = gradient(frame_b.ev)
+    offset = abs(Fraction(frame_b.m) - Fraction(frame_a.m) - Fraction(shift))
+    theta_b = theta_a.as_array() + [0.0, shift, shift]
+    return np.abs(np.linalg.inv(hess)) @ (np.abs(grad_b - grad_a) + rounding_a + rounding_b) \
+        + float(offset) * np.array([0.0, 1.0, 1.0]) \
+        + 2.0 * np.finfo(float).eps * (np.abs(theta_a.as_array()) + np.abs(theta_b))
+
+
 def test_fit_translation_equivariance():
     sample = gauss_sample(300, rep=1)
     c = 3.25
     res = fit(sample)
-    res_shift = fit(Sample(sample.values + c))
-    assert res_shift.theta_hat.p == pytest.approx(res.theta_hat.p, abs=1e-6)
-    assert res_shift.theta_hat.alpha == pytest.approx(res.theta_hat.alpha + c, abs=1e-6)
-    assert res_shift.theta_hat.beta == pytest.approx(res.theta_hat.beta + c, abs=1e-6)
+    shifted = Sample(sample.values + c)
+    res_shift = fit(shifted)
+    bound = root_gap_bound(sample, shifted, res.theta_hat, c)
+    assert np.all(bound < 1e-12)
+    assert res_shift.theta_hat.p == pytest.approx(res.theta_hat.p, abs=bound[0])
+    assert res_shift.theta_hat.alpha == pytest.approx(res.theta_hat.alpha + c, abs=bound[1])
+    assert res_shift.theta_hat.beta == pytest.approx(res.theta_hat.beta + c, abs=bound[2])
+
+
+def row_order_sample(name):
+    if name == "rainfall":
+        from symmix.cli import rainfall_path, read_numeric_csv
+
+        return Sample(read_numeric_csv(rainfall_path()))
+    theta = EuclideanParam(0.2, 1.0, 5.0) if name == "cauchy" else THETA0
+    return sample_mixture(ScenarioSpec(name, theta, 100, 1, 7), 0)
+
+
+@pytest.mark.parametrize("name", ["rainfall", "gauss", "cauchy", "laplace"])
+def test_fit_is_row_order_invariant(name):
+    # the orders change only how the node sums round; the estimate is the
+    # objective's gradient root, so it moves by that rounding, not by where
+    # the descent happened to stop on the flat objective
+    sample = row_order_sample(name)
+    theta = fit(sample).theta_hat
+    rng = np.random.default_rng(3)
+    x = sample.values
+    for order in [np.arange(x.size)[::-1]] + [rng.permutation(x.size) for _ in range(4)]:
+        reordered = Sample(x[order])
+        bound = root_gap_bound(sample, reordered, theta)
+        assert np.all(bound < 1e-12)
+        gap = np.abs(fit(reordered).theta_hat.as_array() - theta.as_array())
+        assert np.all(gap <= bound), (gap, bound)
 
 
 @pytest.mark.parametrize("offset, step", [(1e4, 2.0 ** -20), (1e6, 2.0 ** -20),
@@ -138,15 +215,63 @@ def test_fit_near_single_component():
 
 
 def test_fit_search_evaluation_budget(monkeypatch):
-    # every objective evaluation of the search, with or without gradient
-    from symmix import ContrastEvaluator
+    # every objective evaluation of the search, with or without gradient; the
+    # Newton polish evaluates neither, so refusing it leaves the count alone
+    from symmix import ContrastEvaluator, estimator
     calls = []
     for name in ("plugin", "plugin_value_gradient"):
         inner = getattr(ContrastEvaluator, name)
         monkeypatch.setattr(ContrastEvaluator, name,
                             lambda ev, theta, inner=inner: calls.append(theta) or inner(ev, theta))
-    fit(gauss_sample(100, seed=7))
-    assert 0 < len(calls) <= 400
+    sample = gauss_sample(100, seed=7)
+    fit(sample)
+    polished = len(calls)
+    assert 0 < polished <= 400
+    calls.clear()
+    newton = estimator._newton
+
+    def refused(*args):
+        thetas, ok = newton(*args)
+        return thetas, np.zeros_like(ok)
+
+    monkeypatch.setattr(estimator, "_newton", refused)
+    fit(sample)
+    assert len(calls) == polished
+
+
+@pytest.mark.parametrize("polish", ["refused", "merged", "jumped", "within"])
+def test_fit_polish_guards(polish, monkeypatch):
+    # a polish that Newton refuses, that merges the locations or that moves
+    # past the starts' agreement tolerance leaves the descent's winner, bit
+    # for bit; one that stays within the tolerance is the estimate
+    from symmix import estimator
+    from symmix.estimator import _descend, _frame, _shift
+    from symmix.params import canonicalize
+
+    sample, cfg = gauss_sample(100, seed=7), FitConfig()
+    frame = _frame(sample)
+    descents = [_descend(frame.ev, start, cfg) for start in initial_points(frame.centred, cfg)]
+    winner = min(descents, key=lambda res: (res.fun, tuple(res.x))).x
+    tol_agree = 1e-3 * max(1.0, np.max(np.abs(winner)))
+    newton = estimator._newton
+
+    def polishing(*args):
+        thetas, ok = newton(*args)
+        assert np.array_equal(args[4].as_array(), winner)
+        if polish == "refused":
+            ok[:] = False
+        elif polish == "merged":
+            thetas[:, 2] = thetas[:, 1] + 0.5 * cfg.box.sep_min
+        else:
+            thetas[:, 1] = winner[1] + (2.0 if polish == "jumped" else 0.5) * tol_agree
+        polished.append(thetas[0].copy())
+        return thetas, ok
+
+    polished = []
+    monkeypatch.setattr(estimator, "_newton", polishing)
+    got = fit(sample, cfg).theta_hat
+    want = polished[0] if polish == "within" else winner
+    assert got == _shift(canonicalize(want, cfg.box), frame.m)
 
 
 def test_plugin_repeats_fit_objective():
@@ -166,6 +291,12 @@ def test_plugin_repeats_fit_objective():
             value = ev.plugin(theta)
             assert repr(value) == repr(ev.plugin_value_gradient(theta)[0])
             assert repr(value) == repr(res.objective_at_opt)
+
+
+@pytest.mark.parametrize("kwargs", [dict(starts=0), dict(max_iter=0), dict(max_iter=-3)])
+def test_fit_config_rejects_counts_below_one(kwargs):
+    with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be >= 1"):
+        FitConfig(**kwargs)
 
 
 def test_fit_unconverged_at_iteration_limit():

@@ -13,7 +13,7 @@ from .contrast import (ContrastConfig, ContrastEvaluator, contrast_gradient,
 from .density import (DensityConfig, DensityCurve, KernelCurve, default_bandwidth,
                       default_grid, deconvolved_density_values, estimate_density,
                       estimate_g, reconstruct_mixture)
-from .errors import (BadCharacteristicFunction, BadSmoothness, BadWeightSpec,
+from .errors import (BadCharacteristicFunction, BadWeightSpec,
                      DegenerateFit, DegenerateParam, EmptyPositivePart,
                      SampleTooSmall, SingularInformation, SymmixError)
 from .estimator import (FitConfig, FitResult, asymptotic_covariance,
@@ -50,6 +50,6 @@ __all__ = [
     "noise_cdf", "replication_rng", "run_scenario",
     # errors
     "SymmixError", "DegenerateParam", "BadWeightSpec", "SampleTooSmall",
-    "BadCharacteristicFunction", "BadSmoothness", "DegenerateFit",
+    "BadCharacteristicFunction", "DegenerateFit",
     "SingularInformation", "EmptyPositivePart",
 ]

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager, suppress
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -183,7 +184,8 @@ def _emit(out: str | None, text: str, meta: dict | None = None):
             sys.stderr.write(_dump(meta))
 
 
-def _parse_theta(text: str) -> EuclideanParam:
+def _theta(text: str) -> EuclideanParam:
+    """argparse type of --theta and --theta0: p,alpha,beta."""
     parts = text.split(",")
     if len(parts) != 3:
         raise CliInputError(f"--theta expects p,alpha,beta, got {text!r}")
@@ -196,22 +198,33 @@ def _parse_theta(text: str) -> EuclideanParam:
         raise CliInputError(f"--theta invalid: {exc}") from exc
 
 
-def _parse_triple(text: str, flag: str) -> tuple[float, float, int]:
-    parts = text.replace(":", " ").split()
-    if len(parts) != 3:
-        raise CliInputError(f"{flag} expects lo:hi:count, got {text!r}")
-    lo, hi = _parse_float(parts[0]), _parse_float(parts[1])
-    try:
-        count = int(parts[2])
-    except ValueError:
-        count = None
-    if lo is None or hi is None or count is None or count < 1:
-        raise CliInputError(f"{flag} expects lo:hi:count with count >= 1, got {text!r}")
-    return lo, hi, count
+def _triple(flag: str):
+    """argparse type of `flag`, lo:hi:count with count >= 1."""
+    def parse(text: str) -> tuple[float, float, int]:
+        parts = text.replace(":", " ").split()
+        if len(parts) != 3:
+            raise CliInputError(f"{flag} expects lo:hi:count, got {text!r}")
+        lo, hi = _parse_float(parts[0]), _parse_float(parts[1])
+        try:
+            count = int(parts[2])
+        except ValueError:
+            count = None
+        if lo is None or hi is None or count is None or count < 1:
+            raise CliInputError(f"{flag} expects lo:hi:count with count >= 1, got {text!r}")
+        return lo, hi, count
+    return parse
 
 
-def _theta_dict(theta: EuclideanParam) -> dict:
-    return {"p": theta.p, "alpha": theta.alpha, "beta": theta.beta}
+def _jobs(text: str) -> int:
+    """argparse type of --jobs, an integer >= 1."""
+    jobs = int(text)
+    if jobs < 1:
+        raise CliInputError(f"--jobs must be >= 1, got {jobs}")
+    return jobs
+
+
+# argparse names the type in its message for a value int() rejects
+_jobs.__name__ = "int"
 
 
 def cmd_fit(args) -> int:
@@ -226,13 +239,9 @@ def cmd_fit(args) -> int:
 def cmd_density(args) -> int:
     sample, ccfg = _load(args)
     bandwidth = args.bandwidth if args.bandwidth is not None else default_bandwidth(sample.n)
-    grid = _parse_triple(args.grid, "--grid") if args.grid is not None else None
     with _user_input():
-        dcfg = DensityConfig(bandwidth=bandwidth, grid=grid)
-    if args.theta is not None:
-        theta = _parse_theta(args.theta)
-    else:
-        theta = fit(sample, _fit_config(args), ccfg).theta_hat
+        dcfg = DensityConfig(bandwidth=bandwidth, grid=args.grid)
+    theta = args.theta or fit(sample, _fit_config(args), ccfg).theta_hat
     curve = estimate_density(sample, theta, dcfg)
     g_curve = estimate_g(sample, dcfg, xs=curve.xs)
     # reconstruction column evaluates f at the shifted points exactly, so the
@@ -248,7 +257,7 @@ def cmd_density(args) -> int:
                               (curve.xs[i], curve.f_raw[i], curve.f_tilde[i],
                                g_curve.values[i], recon[i])))
     config = _config_echo(args, sample, ccfg, bandwidth=bandwidth,
-                          grid=list(grid) if grid else None, theta=_theta_dict(theta))
+                          grid=list(args.grid) if args.grid else None, theta=asdict(theta))
     _emit(args.out, "\n".join(lines) + "\n",
           {**curve.metadata(), "manifest": _manifest("density", config, args.csv_path)})
     return 0
@@ -280,12 +289,9 @@ def _env_seed() -> int:
 
 
 def cmd_simulate(args) -> int:
-    theta0 = _parse_theta(args.theta0)
-    if args.jobs < 1:
-        raise CliInputError(f"--jobs must be >= 1, got {args.jobs}")
     seed = args.seed if args.seed is not None else _env_seed()
     with _user_input():
-        spec = ScenarioSpec(family=args.family, theta0=theta0, n=args.n,
+        spec = ScenarioSpec(family=args.family, theta0=args.theta0, n=args.n,
                             replications=args.M, seed=seed, mix_lambda=args.mix_lambda)
     summary = run_scenario(spec, _fit_config(args), jobs=args.jobs)
     csv_text = _summary_csv(summary)
@@ -303,7 +309,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_scan(args) -> int:
     sample, ccfg = _load(args)
-    lo, hi, steps = _parse_triple(args.range, "--range")
+    lo, hi, steps = args.range
     # scanned on the fit's own evaluator in the fit's frame, so the row at
     # theta_hat repeats the fit's contrast and objective
     frame = _frame(sample, ccfg)
@@ -312,14 +318,14 @@ def cmd_scan(args) -> int:
     lines = [f"{args.param},contrast,objective"]
     for v in np.linspace(lo, hi, steps):
         try:
-            th = _shift(EuclideanParam(**{**_theta_dict(theta), args.param: float(v)}), -frame.m)
+            th = _shift(replace(theta, **{args.param: float(v)}), -frame.m)
         except DegenerateParam:
             lines.append(f"{float(v)!r},,")
             continue
         lines.append(f"{float(v)!r},{frame.ev.u_statistic(th)!r},{frame.ev.plugin(th)!r}")
 
     config = _config_echo(args, sample, ccfg, param=args.param, range=[lo, hi, steps],
-                          theta_hat=_theta_dict(theta))
+                          theta_hat=asdict(theta))
     _emit(args.out, "\n".join(lines) + "\n", {"manifest": _manifest("scan", config, args.csv_path)})
     return 0
 
@@ -349,8 +355,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_den = sub.add_parser("density", help="deconvolve the component density")
     fitting(p_den)
     p_den.add_argument("--bandwidth", type=float, default=None)
-    p_den.add_argument("--grid", default=None, help="lo:hi:points")
-    p_den.add_argument("--theta", default=None, help="p,alpha,beta (skip fitting)")
+    p_den.add_argument("--grid", type=_triple("--grid"), default=None, help="lo:hi:points")
+    p_den.add_argument("--theta", type=_theta, default=None, help="p,alpha,beta (skip fitting)")
     p_den.set_defaults(func=cmd_density)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo study of the estimator")
@@ -359,17 +365,17 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="replication seed (default: SYMMIX_SEED, else 0)")
     p_sim.add_argument("--family", required=True,
                        choices=["gauss", "cauchy", "laplace", "asym_gauss_mix"])
-    p_sim.add_argument("--theta0", required=True, help="p,alpha,beta")
+    p_sim.add_argument("--theta0", type=_theta, required=True, help="p,alpha,beta")
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--M", type=int, required=True)
     p_sim.add_argument("--mix-lambda", type=float, default=None)
-    p_sim.add_argument("--jobs", type=int, default=1)
+    p_sim.add_argument("--jobs", type=_jobs, default=1)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_scan = sub.add_parser("scan", help="profile the contrast along one coordinate")
     fitting(p_scan)
     p_scan.add_argument("--param", required=True, choices=["p", "alpha", "beta"])
-    p_scan.add_argument("--range", required=True, help="lo:hi:steps")
+    p_scan.add_argument("--range", type=_triple("--range"), required=True, help="lo:hi:steps")
     p_scan.set_defaults(func=cmd_scan)
     return parser
 

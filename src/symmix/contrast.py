@@ -108,7 +108,10 @@ def _blocks(count: int, width: int):
 
 @dataclass(frozen=True)
 class ContrastConfig:
-    """Weight rule plus Fourier truncation: integration runs over |u| <= 1/trunc_h."""
+    """Weight rule plus Fourier truncation: integration runs over |u| <= 1/trunc_h.
+
+    The window must hold at least one of the rule's nodes.
+    """
 
     weight_rule: WeightRule
     trunc_h: float
@@ -118,6 +121,8 @@ class ContrastConfig:
             raise ValueError("trunc_h must be finite")
         if not self.trunc_h > 0.0:
             raise ValueError("trunc_h must be positive")
+        if not _window(self).any():
+            raise ValueError("truncation window |u| <= 1/trunc_h holds no weight-rule node")
 
 
 def _window(cfg: ContrastConfig) -> np.ndarray:
@@ -172,11 +177,6 @@ def _phases(x: np.ndarray, c: np.ndarray, d: np.ndarray):
         np.divide(np.add(t, t, out=t), im, out=im)
         out.append(e)
     return out
-
-
-def _lattice_values(cen: np.ndarray, off: np.ndarray, q: int) -> np.ndarray:
-    """Entries (k, j) times (k, p) of centre and offset factors on the first q nodes, (B, q)."""
-    return (cen[:, :, None] * off[:, None, :]).reshape(cen.shape[0], -1)[:, :q]
 
 
 def _panel_sums(coef: np.ndarray, c: np.ndarray, d: np.ndarray, y: np.ndarray, width: int):
@@ -358,7 +358,8 @@ class ContrastEvaluator:
 
     def _features(self, x: np.ndarray) -> np.ndarray:
         """e^{iuX_k} on the folded nodes for a block of observations x, shape (B, Q)."""
-        return _lattice_values(*_phases(x, self._c, self._d), self.u.size)
+        cen, off = _phases(x, self._c, self._d)
+        return (cen[:, :, None] * off[:, None, :]).reshape(len(cen), -1)[:, :self.u.size]
 
     def _block(self, theta: EuclideanParam):
         """The module's `_block` on this sample's node sums: inv, c, s_inv, s_c."""

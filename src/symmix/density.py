@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contrast import _blocks, _panel_sums, _phases
-from .errors import BadSmoothness, EmptyPositivePart
+from .errors import EmptyPositivePart
 from .estimator import _centred, _shift
 from .params import EuclideanParam, Sample, m_func
 
@@ -83,6 +83,8 @@ class DensityConfig:
             x_min, x_max, points = self.grid
             if not (math.isfinite(x_min) and math.isfinite(x_max)):
                 raise ValueError("grid bounds must be finite")
+            if not math.isfinite(x_max - x_min):
+                raise ValueError("grid span must be finite")
             if not x_min < x_max:
                 raise ValueError("grid needs x_min < x_max")
             if int(points) < 16:
@@ -120,18 +122,11 @@ class KernelCurve:
     bandwidth: float
 
 
-def default_bandwidth(n: int, mode: str = "practical", beta_assumed: float = 1.0) -> float:
-    """Bandwidth rules: practical 2 n^{-1/4}; theoretical n^{-(beta-1/2)/(2 beta)}."""
+def default_bandwidth(n: int) -> float:
+    """Deconvolution bandwidth 2 n^{-1/4} of n observations, the density's default."""
     if n < 2:
         raise ValueError("need n >= 2")
-    if mode == "practical":
-        return 2.0 * n ** -0.25
-    if mode == "theoretical":
-        if not beta_assumed > 0.5:
-            raise BadSmoothness(
-                f"theoretical bandwidth rule requires smoothness > 1/2, got {beta_assumed}")
-        return float(n ** (-(beta_assumed - 0.5) / (2.0 * beta_assumed)))
-    raise ValueError(f"unknown bandwidth mode {mode!r}")
+    return 2.0 * n ** -0.25
 
 
 def _grid_points(cfg: DensityConfig) -> np.ndarray | None:
@@ -169,7 +164,9 @@ def _u_grid(bandwidth: float, max_phase_arg: float) -> tuple[np.ndarray, tuple]:
     """
     u_max = math.sqrt(2.0 * math.log(1.0 / _TAIL_EPS)) / bandwidth
     du_target = 2.0 * math.pi / (16.0 * max(max_phase_arg, 1.0))
-    count = int(min(_MAX_U_NODES, max(_MIN_U_NODES, math.ceil(u_max / du_target) + 1)))
+    # clamped before rounding: the ratio is infinite when the phase bound overflows
+    ratio = min(u_max / du_target, _MAX_U_NODES)
+    count = min(_MAX_U_NODES, max(_MIN_U_NODES, math.ceil(ratio) + 1))
     du = u_max / (count - 1)
     p = math.isqrt(count - 1) + 1
     c = np.arange(-(-count // p)) * p * du

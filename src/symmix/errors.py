@@ -21,10 +21,6 @@ class BadCharacteristicFunction(SymmixError):
     """A characteristic function failed a basic sanity requirement (e.g. g*(0) != 1)."""
 
 
-class BadSmoothness(SymmixError):
-    """Assumed Sobolev smoothness is below the validity threshold of a rate rule."""
-
-
 class DegenerateFit(SymmixError):
     """Fit collapsed to an effectively one-component configuration."""
 

@@ -52,7 +52,7 @@ scores, summed in one pass over the frame's centred sample at the estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
@@ -78,6 +78,10 @@ __all__ = [
 # smoothing of the fit objective: b_n = SMOOTH_C * n^{-1/4}
 SMOOTH_C = 1.0
 
+# the start design of `initial_points`: location quantile pairs crossed with p values
+_START_QUANTILES = ((0.25, 0.75), (0.1, 0.9), (0.2, 0.8))
+_START_PS = (0.25, 0.1, 0.4)
+
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -89,6 +93,9 @@ class FitConfig:
         for name in ("starts", "max_iter"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        design = len(_START_QUANTILES) * len(_START_PS)
+        if self.starts > design:
+            raise ValueError(f"starts must be <= {design}")
 
 
 @dataclass(frozen=True)
@@ -104,8 +111,7 @@ class FitResult:
 
     def to_dict(self) -> dict:
         return {
-            "theta_hat": {"p": self.theta_hat.p, "alpha": self.theta_hat.alpha,
-                          "beta": self.theta_hat.beta},
+            "theta_hat": asdict(self.theta_hat),
             "std_errors": [float(s) for s in self.std_errors],
             "covariance": [[float(v) for v in row] for row in self.covariance],
             "contrast": self.contrast_at_opt,
@@ -157,14 +163,12 @@ def initial_points(sample: Sample, cfg: FitConfig) -> list[EuclideanParam]:
     if sample.n < 10:
         raise SampleTooSmall("initial points need n >= 10")
     box = cfg.box
-    qs = np.quantile(sample.values, [0.1, 0.2, 0.25, 0.75, 0.8, 0.9])
-    pairs = [(qs[2], qs[3]), (qs[0], qs[5]), (qs[1], qs[4])]
     pts: list[EuclideanParam] = []
     seen = set()
-    for a, b in pairs:
+    for a, b in np.quantile(sample.values, _START_QUANTILES):
         if abs(a - b) < box.sep_min:
             b = a + box.sep_min
-        for p in (0.25, 0.1, 0.4):
+        for p in _START_PS:
             p = min(max(p, box.p_low), box.p_high)
             key = (round(p, 12), round(a, 12), round(b, 12))
             if key not in seen:
@@ -176,6 +180,11 @@ def initial_points(sample: Sample, cfg: FitConfig) -> list[EuclideanParam]:
 def _smoothing(n: int, scale):
     """Bandwidth b = SMOOTH_C * n^{-1/4} * scale of the fit's smoothing factor exp(-(b u)^2)."""
     return SMOOTH_C * n ** -0.25 * scale
+
+
+def _merge_sep(box: ParamBox, scale: float) -> float:
+    """Separation below which a fit or a refit has merged its locations, for data of this scale."""
+    return max(box.sep_min, 1e-3 * scale)
 
 
 def _centred(sample: Sample) -> tuple[Sample, float]:
@@ -264,7 +273,7 @@ def fit(sample: Sample, cfg: FitConfig | None = None,
 def _fit(frame: _Frame, cfg: FitConfig) -> FitResult:
     """`fit` in a frame built by `_frame` (of at least 10 observations)."""
     box, ccfg, ev, m = cfg.box, frame.ccfg, frame.ev, frame.m
-    sep = max(box.sep_min, 1e-3 * frame.scale)
+    sep = _merge_sep(box, frame.scale)
     candidates = []
     for start in initial_points(frame.centred, cfg):
         res = _descend(ev, start, cfg)
@@ -313,7 +322,7 @@ def _fit(frame: _Frame, cfg: FitConfig) -> FitResult:
             "cutoff": ccfg.weight_rule.cutoff,
         },
         "trunc_h": ccfg.trunc_h,
-        "smooth_bandwidth": SMOOTH_C * ev.n ** -0.25,
+        "smooth_bandwidth": _smoothing(ev.n, 1.0),
         "robust_scale": frame.scale,
         "starts": cfg.starts,
         "max_iter": cfg.max_iter,
@@ -483,8 +492,8 @@ def leave_one_out_thetas(sample: Sample, theta_hat: EuclideanParam,
     evaluator (see `_newton_refits`).  A refit that `_newton` refuses (it
     does not converge, meets a Hessian that is not positive definite, or
     ends outside the p-box) is redone by `_descend` on the rebuilt
-    evaluator of the reduced sample.  A refit whose locations merge returns
-    theta_hat.
+    evaluator of the reduced sample.  A refit whose locations merge, by the
+    fit's rule (`_merge_sep` at the full sample's scale), returns theta_hat.
     Raises SampleTooSmall below 10 observations, as `fit` does.
     """
     if sample.n < 10:
@@ -494,12 +503,12 @@ def leave_one_out_thetas(sample: Sample, theta_hat: EuclideanParam,
     scales = _loo_scales(frame.centred.values)
     start = _shift(theta_hat, -frame.m)
     thetas, ok = _newton_refits(frame, scales, start, cfg.box)
+    sep = _merge_sep(cfg.box, frame.scale)
     out = []
     for k in range(sample.n):
         if not ok[k]:
             reduced = Sample(np.delete(frame.centred.values, k))
             thetas[k] = _descend(_smoothed_evaluator(reduced, frame.ccfg, scales[k]), start, cfg).x
         p, a, b = (float(v) for v in thetas[k])
-        out.append(theta_hat if abs(a - b) < cfg.box.sep_min
-                   else _shift(EuclideanParam(p, a, b), frame.m))
+        out.append(theta_hat if abs(a - b) < sep else _shift(EuclideanParam(p, a, b), frame.m))
     return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -69,8 +69,7 @@ class MCSummary:
     def to_dict(self) -> dict:
         return {
             "family": self.spec.family,
-            "theta0": {"p": self.spec.theta0.p, "alpha": self.spec.theta0.alpha,
-                       "beta": self.spec.theta0.beta},
+            "theta0": asdict(self.spec.theta0),
             "n": self.spec.n,
             "replications": self.spec.replications,
             "seed": self.spec.seed,

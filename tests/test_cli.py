@@ -130,6 +130,14 @@ def test_density_grid_row_count(rainfall, capsys):
     assert len(lines) == 17
 
 
+def test_density_grid_past_the_u_grid_cap_exits_0(rainfall, capsys):
+    # the phase bound 16 * 1e308 overflows; the u-grid takes its node cap
+    # instead of rounding an infinite ratio
+    code, out, _ = run_cli(["density", rainfall, "--grid=0:1e308:16"], capsys)
+    assert code == 0
+    assert len(out.strip().splitlines()) == 17
+
+
 @pytest.mark.parametrize("argv, rows", [
     (["density", "RAIN", "--grid", "-40:80:301"], 301),
     (["scan", "RAIN", "--param", "alpha", "--range", "-1:1:5"], 5),
@@ -298,6 +306,7 @@ def test_scan_manifest_to_stderr_or_sidecar(rainfall, tmp_path, capsys):
 # -------------------------------------------------------------- input errors
 
 SIM = ["simulate", "--family", "gauss", "--theta0", "0.25,-1,2", "--n", "60", "--M", "2"]
+EMPTY_WINDOW = "truncation window |u| <= 1/trunc_h holds no weight-rule node"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -316,9 +325,17 @@ SIM = ["simulate", "--family", "gauss", "--theta0", "0.25,-1,2", "--n", "60", "-
     (["density", "RAIN", "--bandwidth", "inf"], "bandwidth must be finite"),
     (["density", "RAIN", "--grid", "0:inf:64"], "grid bounds must be finite"),
     (["density", "RAIN", "--grid=-inf:0:64"], "grid bounds must be finite"),
+    (["density", "RAIN", "--grid=-1e308:1e308:16"], "grid span must be finite"),
+    (["fit", "RAIN", "--trunc-h", "1e6"], EMPTY_WINDOW),
+    (["fit", "RAIN", "--cutoff", "1e300"], EMPTY_WINDOW),
+    (["density", "RAIN", "--cutoff", "1e300"], EMPTY_WINDOW),
+    (["scan", "RAIN", "--param", "p", "--range", "0.1:0.3:3", "--trunc-h", "1e6"],
+     EMPTY_WINDOW),
+    (["fit", "RAIN", "--starts", "20"], "starts must be <= 9"),
 ], ids=["fit-starts", "simulate-starts", "weight-nodes", "cutoff", "trunc-h", "bandwidth",
         "grid", "constant", "constant-cutoff", "jobs", "cutoff-inf", "trunc-h-inf",
-        "bandwidth-inf", "grid-hi-inf", "grid-lo-inf"])
+        "bandwidth-inf", "grid-hi-inf", "grid-lo-inf", "grid-span-inf", "trunc-h-empty",
+        "cutoff-empty", "density-cutoff-empty", "scan-trunc-h-empty", "starts-above-design"])
 def test_invalid_flag_values_exit_2(rainfall, tmp_path, capsys, argv, message):
     const = tmp_path / "const.csv"
     const.write_text("5.0\n" * 12)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from symmix import (BadSmoothness, DensityConfig, EmptyPositivePart, EuclideanParam,
+from symmix import (DensityConfig, EmptyPositivePart, EuclideanParam,
                     Sample, ScenarioSpec, default_bandwidth, default_grid,
                     deconvolved_density_values, estimate_density, estimate_g,
                     leave_one_out_thetas, reconstruct_mixture, sample_mixture)
@@ -21,13 +21,8 @@ def gauss_sample(n, rep=0, seed=123):
 def test_default_bandwidth_rules():
     assert default_bandwidth(70) == pytest.approx(2.0 * 70 ** -0.25)
     assert default_bandwidth(70) == pytest.approx(0.69144, abs=1e-4)
-    # exponent tends to -1/2 as smoothness grows
-    b = default_bandwidth(10_000, mode="theoretical", beta_assumed=1e9)
-    assert b == pytest.approx(10_000 ** -0.5, rel=1e-4)
-    with pytest.raises(BadSmoothness):
-        default_bandwidth(100, mode="theoretical", beta_assumed=0.4)
-    with pytest.raises(ValueError):
-        default_bandwidth(100, mode="nope")
+    with pytest.raises(ValueError, match="need n >= 2"):
+        default_bandwidth(1)
 
 
 def test_estimate_g_single_observation_is_kernel():

@@ -40,7 +40,9 @@ def test_initial_points_shift_equivariant():
 def test_initial_points_respect_box():
     sample = gauss_sample(100)
     cfg = FitConfig(starts=9)
-    for pt in initial_points(sample, cfg):
+    points = initial_points(sample, cfg)
+    assert len(points) == 9     # the whole design: FitConfig allows no more starts
+    for pt in points:
         assert pt.in_box(cfg.box)
 
 
@@ -432,13 +434,14 @@ def reference_leave_one_out(sample, theta_hat, cfg=FitConfig()):
     centred, m = _centred(sample)
     ccfg = default_contrast_config(sample)
     start = _shift(theta_hat, -m)
+    # the fit's merge rule, at the full sample's scale
+    sep = max(cfg.box.sep_min, 1e-3 * robust_scale(centred.values))
     out = []
     for k in range(sample.n):
         reduced = Sample(np.delete(centred.values, k))
         ev = _smoothed_evaluator(reduced, ccfg, robust_scale(reduced.values))
         p, a, b = (float(v) for v in _descend(ev, start, cfg).x)
-        out.append(theta_hat if abs(a - b) < cfg.box.sep_min
-                   else _shift(EuclideanParam(p, a, b), m))
+        out.append(theta_hat if abs(a - b) < sep else _shift(EuclideanParam(p, a, b), m))
     return out
 
 
@@ -539,13 +542,17 @@ def test_leave_one_out_falls_back_to_descent(loo_cases, monkeypatch):
     from symmix import estimator
 
     sample, theta_hat, ref = loo_cases["gauss"]
-    refused, merged = [3, 41, 97], 60
+    refused, merged, merged_by_fit_rule = [3, 41, 97], 60, 75
+    # the fit's merge rule, which a refit follows too
+    sep = estimator._merge_sep(FitConfig().box, estimator._frame(sample).scale)
+    assert sep > FitConfig().box.sep_min
     newton = estimator._newton_refits
 
     def failing(*args):
         thetas, ok = newton(*args)
         ok[refused] = False
         thetas[merged, 2] = thetas[merged, 1] + 0.5 * FitConfig().box.sep_min
+        thetas[merged_by_fit_rule, 2] = thetas[merged_by_fit_rule, 1] + 0.5 * sep
         return thetas, ok
 
     monkeypatch.setattr(estimator, "_newton_refits", failing)
@@ -553,6 +560,7 @@ def test_leave_one_out_falls_back_to_descent(loo_cases, monkeypatch):
     for k in refused:
         assert got[k] == ref[k]
     assert got[merged] is theta_hat
+    assert got[merged_by_fit_rule] is theta_hat
 
 
 def test_leave_one_out_memory_does_not_grow_with_n():

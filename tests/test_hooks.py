@@ -1,5 +1,6 @@
 """Every (module, attribute) that perfbench/run.py hooks must exist, the
-symmix.cli ones must be called by `symmix density`, and leave-one-out must
+symmix.cli ones must be called by `symmix density`, the ones the library
+calls itself by one fit and one density, and leave-one-out must
 build the evaluator its `contrast.precompute` hook reads.  Each fit, scan
 and leave-one-out builds one frame (one robust scale, one evaluator), and
 a FitResult keeps none of it: the benchmark keeps every operation's output.
@@ -9,6 +10,7 @@ sets BLAS thread variables for the whole process.
 """
 
 import ast
+import functools
 import importlib
 import pickle
 from pathlib import Path
@@ -63,6 +65,25 @@ def test_cli_hook_targets_are_called_by_density(tmp_path, monkeypatch):
     out = tmp_path / "curve.csv"
     assert symmix.cli.main(["density", symmix.cli.rainfall_path(), "--out", str(out)]) == 0
     assert names and all(calls[attr] >= 1 for attr in names), calls
+
+
+def test_library_hook_targets_are_called_by_fit_and_density(monkeypatch):
+    # the package's own functions are the workloads' entry points; every
+    # other target outside the CLI is one the library calls itself, and one
+    # that is no longer called would read 0 in its per-layer metric
+    inner = [(module, attr) for module, attr in hook_targets()
+             if module != "symmix.cli" and (module != "symmix" or "." in attr)]
+    calls = []
+    for module, attr in inner:
+        *path, name = attr.split(".")
+        counting(monkeypatch, functools.reduce(getattr, path, importlib.import_module(module)),
+                 name, calls)
+    sample = symmix.Sample(symmix.cli.read_numeric_csv(symmix.cli.rainfall_path()))
+    theta_hat = symmix.fit(sample).theta_hat
+    symmix.estimate_density(sample, theta_hat,
+                            symmix.DensityConfig(bandwidth=symmix.default_bandwidth(sample.n)))
+    missing = [f"{module}.{attr}" for module, attr in inner if attr.split(".")[-1] not in calls]
+    assert inner and not missing, f"hook targets not called: {missing}"
 
 
 def test_leave_one_out_builds_one_evaluator(monkeypatch):

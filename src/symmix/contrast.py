@@ -52,6 +52,14 @@ The score pass recomputes the phases the evaluator's pass computed rather
 than keep them: 384 B per observation (19 MB at n = 50,000) against the
 evaluator's O(Q) numbers.
 
+Every pass over observations or points in the package, these two, the
+density's and the leave-one-out refits', is one call of `_map_blocks`: a
+per-block function over blocks of about _BLOCK_ELEMENTS entries, whose
+results the caller adds in block order.  A pass of at least
+_THREAD_MIN_BLOCKS blocks (25 at n = 50,000 and the default rule) runs its
+blocks on up to _MAX_WORKERS usable CPUs; the order of the additions does
+not change, so the output is the same bit for bit at any thread count.
+
 Values, gradients and the sandwich covariance pieces all come from one
 derivative block (1/M, Mdot/M^2) on the nodes: V_n is the weighted sum of
 squares r^T W r of the residual r(u) = Im(ghat*(u)/M(theta, u)), its
@@ -71,6 +79,9 @@ np.exp: they are O(Q) per evaluation, not n-sized.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +106,12 @@ __all__ = [
 
 # entries of one block of an observation-by-node or point-by-node matrix
 _BLOCK_ELEMENTS = 2 ** 19
+# a pass over at least this many blocks runs on a thread pool (see `_map_blocks`)
+_THREAD_MIN_BLOCKS = 8
+# most blocks a pass computes at once: each holds its own arrays, so a pass's
+# memory is at most this many serial blocks' on any machine (a leave-one-out
+# density block peaks near 18 MiB)
+_MAX_WORKERS = 3
 # a node more than this many units in the last place of the largest node off
 # the panel lattice sends the rule to the one-panel path (see `_lattice`)
 _LATTICE_ULPS = 8
@@ -104,6 +121,48 @@ def _blocks(count: int, width: int):
     """Slices covering range(count), max(1, _BLOCK_ELEMENTS // width) long each."""
     step = max(1, _BLOCK_ELEMENTS // max(width, 1))
     return [slice(i, i + step) for i in range(0, count, step)]
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_blocks(fn, count: int, width: int):
+    """fn(blk) for every slice blk of `_blocks(count, width)`, yielded in block order.
+
+    This is the module's one block loop: every pass over observations or
+    points runs through it.  A pass of at least _THREAD_MIN_BLOCKS blocks
+    runs on a thread pool of min(blocks, usable CPUs, _MAX_WORKERS)
+    workers, made for the pass and shut down when it ends (a pool kept
+    between passes would have no threads in a process forked from this
+    one); numpy's ufuncs and BLAS release the GIL, so the blocks' phases
+    overlap.  A pass holds one block's arrays per worker, and at most two
+    blocks' results per worker wait for the caller.  A shorter pass, or
+    one usable CPU, runs serially.  The results come in block order
+    either way, so a caller that adds them in the order they come gets the
+    same bits at any thread count.  An exception raised in fn reaches the
+    caller.  numpy's errstate is a context variable that pool threads do
+    not inherit: a threaded fn runs under numpy's default error state.
+    """
+    blocks = _blocks(count, width)
+    workers = min(len(blocks), _cpus(), _MAX_WORKERS) if len(blocks) >= _THREAD_MIN_BLOCKS else 1
+    if workers < 2:
+        yield from map(fn, blocks)
+        return
+    pool = ThreadPoolExecutor(workers)
+    try:
+        ahead = deque()
+        for blk in blocks:
+            ahead.append(pool.submit(fn, blk))
+            if len(ahead) > 2 * workers:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True)
@@ -179,18 +238,21 @@ def _phases(x: np.ndarray, c: np.ndarray, d: np.ndarray):
     return out
 
 
-def _panel_sums(coef: np.ndarray, c: np.ndarray, d: np.ndarray, y: np.ndarray, width: int):
-    """sum_u coef[r, u] e^{iuy} on the lattice u = c_j + d_p, per block of `_blocks(y.size, width)`.
+def _panel_sums(coef: np.ndarray, c: np.ndarray, d: np.ndarray, y: np.ndarray, width: int, fn):
+    """fn of sum_u coef[r, u] e^{iuy} on the lattice u = c_j + d_p, per block of y.
 
     coef (R, q) holds coefficients on the first q nodes, zero-padded to R
     rows of J panels of P; a point costs J + P phases (`_phases`) and
-    no (B, q) array is formed.  Yields (slice, values of shape (B, R)).
+    no (B, q) array is formed.  fn takes one block's values, shape (B, R);
+    its results are yielded in block order by `_map_blocks(..., y.size, width)`.
     """
     g = np.pad(coef, ((0, 0), (0, c.size * d.size - coef.shape[1]))).reshape(-1, d.size)
-    for blk in _blocks(y.size, width):
+
+    def block(blk):
         cen, off = _phases(y[blk], c, d)
         t = (off @ g.T).reshape(-1, len(coef), c.size)
-        yield blk, np.matmul(t, cen[:, :, None])[..., 0]
+        return fn(np.matmul(t, cen[:, :, None])[..., 0])
+    return _map_blocks(block, y.size, width)
 
 
 def default_trunc_h(n: int, cutoff: float = 30.0) -> float:
@@ -349,11 +411,14 @@ class ContrastEvaluator:
         self.n = sample.n
         self._c, self._d = _lattice(self.u)
         q = self.u.size
-        sums = sq = 0.0          # the first block's arrays replace these
-        for blk in _blocks(sample.n, 2 * q):
+
+        def block(blk):
             cen, off = _phases(sample.values[blk], self._c, self._d)
-            sums += cen.T @ off
-            sq += (cen * cen).T @ (off * off)
+            return cen.T @ off, (cen * cen).T @ (off * off)
+        sums = sq = 0.0          # the first block's arrays replace these
+        for part, part2 in _map_blocks(block, sample.n, 2 * q):
+            sums += part
+            sq += part2
         self._s, self._s2 = sums.ravel()[:q], sq.ravel()[:q]
 
     def _features(self, x: np.ndarray) -> np.ndarray:
@@ -420,8 +485,9 @@ class ContrastEvaluator:
         jw = jac * self.w
         info = 2.0 * jw @ jac.T
         score = np.zeros((3, 3))
-        for _, t in _panel_sums(jw * inv, self._c, self._d, x, 2 * self.u.size):
-            score += t.imag.T @ t.imag
+        for part in _panel_sums(jw * inv, self._c, self._d, x, 2 * self.u.size,
+                                lambda t: t.imag.T @ t.imag):
+            score += part
         return info, 4.0 * score / self.n
 
 

@@ -20,7 +20,12 @@ e^{i c_a y} e^{i d_p y} of two entries of `contrast._phases`, the phase
 kernel the contrast evaluator uses (one half-angle tangent per entry): a
 data point, a leave-one-out location or an output point costs A + P phases
 instead of U.  The output sum is `contrast._panel_sums`, the panel
-transform of the sandwich's score pass.
+transform of the sandwich's score pass.  The data, leave-one-out and output
+passes and the kernel density estimate's pass run through the contrast
+module's one block loop, `contrast._map_blocks`: a pass of at least
+`contrast._THREAD_MIN_BLOCKS` blocks runs on up to three usable CPUs, and its
+block results are added in block order, so the density is the same bit for
+bit at any thread count.
 
 The data and the locations are first centred at the sample median m.  Each
 ratio e^{iuX} / M(theta, u) is unchanged by a common shift, so f_n is the
@@ -45,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contrast import _blocks, _panel_sums, _phases
+from .contrast import _map_blocks, _panel_sums, _phases
 from .errors import EmptyPositivePart
 from .estimator import _centred, _shift
 from .params import EuclideanParam, Sample, m_func
@@ -87,6 +92,10 @@ class DensityConfig:
                 raise ValueError("grid span must be finite")
             if not x_min < x_max:
                 raise ValueError("grid needs x_min < x_max")
+            # the output points' phases x u, up to the u-grid's last node
+            if not math.isfinite(max(abs(x_min), abs(x_max)) * _u_max(self.bandwidth)):
+                raise ValueError(
+                    "grid phases overflow: max(|x_min|, |x_max|) * u_max is not finite")
             if int(points) < 16:
                 raise ValueError("grid needs at least 16 points")
         if self.theta_mode not in ("full_sample", "leave_one_out"):
@@ -154,6 +163,11 @@ def default_grid(sample: Sample, theta: EuclideanParam, bandwidth: float,
     return np.linspace(-lim, lim, points)
 
 
+def _u_max(bandwidth: float) -> float:
+    """Last node of the u-grid: where the kernel transform exp(-b^2 u^2 / 2) reaches _TAIL_EPS."""
+    return math.sqrt(2.0 * math.log(1.0 / _TAIL_EPS)) / bandwidth
+
+
 def _u_grid(bandwidth: float, max_phase_arg: float) -> tuple[np.ndarray, tuple]:
     """Trapezoid nodes on [0, U_f] resolving the fastest cosine in the integrand, and their lattice.
 
@@ -162,7 +176,7 @@ def _u_grid(bandwidth: float, max_phase_arg: float) -> tuple[np.ndarray, tuple]:
     starts c[a] = a P du, the last panel cut short at U.  Returns u and
     the pair (c, d).
     """
-    u_max = math.sqrt(2.0 * math.log(1.0 / _TAIL_EPS)) / bandwidth
+    u_max = _u_max(bandwidth)
     du_target = 2.0 * math.pi / (16.0 * max(max_phase_arg, 1.0))
     # clamped before rounding: the ratio is infinite when the phase bound overflows
     ratio = min(u_max / du_target, _MAX_U_NODES)
@@ -209,29 +223,32 @@ def deconvolved_density_values(sample: Sample, theta: EuclideanParam,
     damp = np.exp(-0.5 * (bandwidth * u) ** 2) / (2.0 * math.pi)
 
     if loo_thetas is None:
-        sums = 0.0               # the first block's (A, P) array replaces this
-        for blk in _blocks(sample.n, u.size):
+        def block(blk):
             cen, off = _phases(x_data[blk], c, d)
-            sums += cen.T @ off
+            return cen.T @ off
+        sums = 0.0               # the first block's (A, P) array replaces this
+        for part in _map_blocks(block, sample.n, u.size):
+            sums += part
         ratio = sums.ravel()[:u.size] / m_func(at, u)
     else:
         # e^{iuX_k} / M(theta_k, u) = 1 / (p_k e^{iu(alpha_k-X_k)} + (1-p_k) e^{iu(beta_k-X_k)})
         p_k, a_k, b_k = np.array([th.as_array() for th in loo_thetas]).T
         a_k, b_k = a_k - sample.values, b_k - sample.values
-        ratio = np.zeros((c.size, d.size), dtype=complex)
-        for blk in _blocks(sample.n, u.size):
+
+        def block(blk):
             cen_a, off_a = _phases(a_k[blk], c, d)
             cen_b, off_b = _phases(b_k[blk], c, d)
             # M_k on the whole (A, P) lattice, past u's last node too, in one array
             shifted_m = (p_k[blk, None] * cen_a)[:, :, None] * off_a[:, None, :]
             shifted_m += ((1.0 - p_k[blk, None]) * cen_b)[:, :, None] * off_b[:, None, :]
-            ratio += np.divide(1.0, shifted_m, out=shifted_m).sum(axis=0)
+            return np.divide(1.0, shifted_m, out=shifted_m).sum(axis=0)
+        ratio = np.zeros((c.size, d.size), dtype=complex)
+        for part in _map_blocks(block, sample.n, u.size):
+            ratio += part
         ratio = ratio.ravel()[:u.size]
     coef = trap * damp * ratio / sample.n
-    out = np.empty(xs.size)
-    for blk, t in _panel_sums(coef[None], c, d, -xs, u.size):
-        out[blk] = 2.0 * t[:, 0].real
-    return out
+    return np.concatenate(list(_panel_sums(coef[None], c, d, -xs, u.size,
+                                           lambda t: 2.0 * t[:, 0].real)))
 
 
 def estimate_density(sample: Sample, theta_hat: EuclideanParam, cfg: DensityConfig,
@@ -268,10 +285,13 @@ def estimate_g(sample: Sample, cfg: DensityConfig, xs=None) -> KernelCurve:
         xs = np.linspace(float(np.min(sample.values)) - 3.0 * b,
                          float(np.max(sample.values)) + 3.0 * b, 512)
     xs = np.asarray(xs, dtype=float)
-    vals = np.zeros(xs.size)
-    for blk in _blocks(sample.n, xs.size):
+
+    def block(blk):
         z = (xs[:, None] - sample.values[None, blk]) / cfg.bandwidth
-        vals += np.exp(-0.5 * z * z).sum(axis=1)
+        return np.exp(-0.5 * z * z).sum(axis=1)
+    vals = np.zeros(xs.size)
+    for part in _map_blocks(block, sample.n, xs.size):
+        vals += part
     vals /= sample.n * cfg.bandwidth * math.sqrt(2.0 * math.pi)
     return KernelCurve(xs=xs, values=vals, bandwidth=cfg.bandwidth)
 

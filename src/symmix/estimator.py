@@ -57,7 +57,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .contrast import (ContrastConfig, ContrastEvaluator, _blocks, _plugin_gradient_hessian,
+from .contrast import (ContrastConfig, ContrastEvaluator, _map_blocks, _plugin_gradient_hessian,
                        default_trunc_h)
 from .errors import DegenerateFit, SampleTooSmall, SingularInformation
 from .params import EuclideanParam, ParamBox, Sample, canonicalize
@@ -467,19 +467,19 @@ def _newton_refits(frame: _Frame, scales: np.ndarray, start: EuclideanParam, box
     the smoothed weights of the n - 1 remaining observations, which differ
     from the full sample's only through their robust scale, scales[k], so
     all n refits are one batched problem.  The batch runs in blocks of
-    about _BLOCK_ELEMENTS / (24 Q) refits, so the Hessian's working set
-    stays near _BLOCK_ELEMENTS reals whatever n is.  Returns `_newton`'s
-    refits, shape (n, 3), and flags.
+    about _BLOCK_ELEMENTS / (24 Q) refits (`contrast._map_blocks`), so the
+    Hessian's working set stays near _BLOCK_ELEMENTS reals a block whatever
+    n is.  Returns `_newton`'s refits, shape (n, 3), and flags.
     """
     ev, x, n = frame.ev, frame.centred.values, frame.centred.n
-    thetas, ok = np.empty((n, 3)), np.empty(n, dtype=bool)
+
+    def block(blk):
+        return _newton(ev, ev._s - ev._features(x[blk]),
+                       ev._smoothed_weights(_smoothing(n - 1, scales[blk])), n - 1, start, box)
     # the Hessian's arrays peak at about 24 reals per refit and node (tracemalloc,
     # Q = 128 and 2,048), 17 in the shared first step
-    for blk in _blocks(n, 24 * ev.u.size):
-        thetas[blk], ok[blk] = _newton(ev, ev._s - ev._features(x[blk]),
-                                       ev._smoothed_weights(_smoothing(n - 1, scales[blk])),
-                                       n - 1, start, box)
-    return thetas, ok
+    thetas, ok = zip(*_map_blocks(block, n, 24 * ev.u.size))
+    return np.concatenate(thetas), np.concatenate(ok)
 
 
 def leave_one_out_thetas(sample: Sample, theta_hat: EuclideanParam,

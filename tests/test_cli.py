@@ -130,14 +130,6 @@ def test_density_grid_row_count(rainfall, capsys):
     assert len(lines) == 17
 
 
-def test_density_grid_past_the_u_grid_cap_exits_0(rainfall, capsys):
-    # the phase bound 16 * 1e308 overflows; the u-grid takes its node cap
-    # instead of rounding an infinite ratio
-    code, out, _ = run_cli(["density", rainfall, "--grid=0:1e308:16"], capsys)
-    assert code == 0
-    assert len(out.strip().splitlines()) == 17
-
-
 @pytest.mark.parametrize("argv, rows", [
     (["density", "RAIN", "--grid", "-40:80:301"], 301),
     (["scan", "RAIN", "--param", "alpha", "--range", "-1:1:5"], 5),
@@ -211,6 +203,28 @@ def test_simulate_jobs_byte_identical(tmp_path, capsys):
             "--n", "60", "--M", "3", "--seed", "5"]
     run_cli(base + ["--jobs", "1", "--out", str(tmp_path / "a")], capsys)
     run_cli(base + ["--jobs", "2", "--out", str(tmp_path / "b")], capsys)
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+# a threaded pass in the parent first: a pool kept from it would have no threads in
+# the forked workers, and they would hang
+THREADED_THEN_MAIN = (
+    "import sys; import numpy as np; "
+    "from symmix import ContrastEvaluator, Sample, default_contrast_config; "
+    "from symmix.cli import main; "
+    "s = Sample(np.linspace(-3.0, 3.0, 20000)); ContrastEvaluator(s, default_contrast_config(s)); "
+    "sys.exit(main(sys.argv[1:]))")
+
+
+def test_simulate_jobs_with_threaded_passes_byte_identical(tmp_path, checkout_env):
+    # at n = 20,000 every pass has 10 blocks, so the workers' passes run on threads
+    base = [sys.executable, "-c", THREADED_THEN_MAIN, "simulate", "--family", "gauss",
+            "--theta0", "0.25,-1,2", "--n", "20000", "--M", "2", "--seed", "7"]
+    for jobs, name in (("1", "a"), ("2", "b")):
+        proc = subprocess.run(base + ["--jobs", jobs, "--out", str(tmp_path / name)],
+                              capture_output=True, text=True, env=checkout_env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
@@ -326,6 +340,8 @@ EMPTY_WINDOW = "truncation window |u| <= 1/trunc_h holds no weight-rule node"
     (["density", "RAIN", "--grid", "0:inf:64"], "grid bounds must be finite"),
     (["density", "RAIN", "--grid=-inf:0:64"], "grid bounds must be finite"),
     (["density", "RAIN", "--grid=-1e308:1e308:16"], "grid span must be finite"),
+    (["density", "RAIN", "--grid=0:1e308:16"],
+     "grid phases overflow: max(|x_min|, |x_max|) * u_max is not finite"),
     (["fit", "RAIN", "--trunc-h", "1e6"], EMPTY_WINDOW),
     (["fit", "RAIN", "--cutoff", "1e300"], EMPTY_WINDOW),
     (["density", "RAIN", "--cutoff", "1e300"], EMPTY_WINDOW),
@@ -334,8 +350,9 @@ EMPTY_WINDOW = "truncation window |u| <= 1/trunc_h holds no weight-rule node"
     (["fit", "RAIN", "--starts", "20"], "starts must be <= 9"),
 ], ids=["fit-starts", "simulate-starts", "weight-nodes", "cutoff", "trunc-h", "bandwidth",
         "grid", "constant", "constant-cutoff", "jobs", "cutoff-inf", "trunc-h-inf",
-        "bandwidth-inf", "grid-hi-inf", "grid-lo-inf", "grid-span-inf", "trunc-h-empty",
-        "cutoff-empty", "density-cutoff-empty", "scan-trunc-h-empty", "starts-above-design"])
+        "bandwidth-inf", "grid-hi-inf", "grid-lo-inf", "grid-span-inf", "grid-phase-inf",
+        "trunc-h-empty", "cutoff-empty", "density-cutoff-empty", "scan-trunc-h-empty",
+        "starts-above-design"])
 def test_invalid_flag_values_exit_2(rainfall, tmp_path, capsys, argv, message):
     const = tmp_path / "const.csv"
     const.write_text("5.0\n" * 12)

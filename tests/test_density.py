@@ -222,6 +222,9 @@ U_GRID_COUNTS = [
     ((0.2, 30.0), 2841),
     ((0.69, 84.5), 2320),
     ((0.69, 123.5), 3390),
+    # a phase bound past the float range, a numpy scalar as deconvolved_density_values
+    # passes it: the node cap, not a rounded infinite ratio
+    ((0.69, np.float64(np.inf)), 16384),
 ]
 
 

@@ -45,9 +45,14 @@ lattice u = c_j + d_p of J panel centres and P shared offsets (16 panels of
 8 at the default rule), so e^{iuX} = e^{i c_j X} e^{i d_p X} costs J + P
 phases per observation instead of Q; a rule that is not such a lattice is
 one panel, c = 0 and d = u.  Each phase is one tangent of its own half
-angle, t = tan(uX/2), as cos = (1 - t^2)/(1 + t^2) and sin = 2t/(1 + t^2),
-within 4.5e-16 of cos and sin.  The way back, sum_u coef(u) e^{iuy} at
-points y, is the panel transform `_panel_sums`, shared with the density.
+angle and one division, t = tan(uX/2), r = 2/(1 + t^2), cos = r - 1 and
+sin = t r, within 4.5e-16 of cos and sin.  The phases are stored
+node-major, a row of a block's observations per centre and per offset, so
+every per-node step runs along the observations: the node sums are matrix
+products over them.  The way back, sum_u coef(u) e^{iuy} at points y, is
+the panel transform `_panel_sums`, shared with the density: one matrix
+product over the offsets, then one broadcast multiply and sum over the
+centres.
 The score pass recomputes the phases the evaluator's pass computed rather
 than keep them: 384 B per observation (19 MB at n = 50,000) against the
 evaluator's O(Q) numbers.
@@ -115,6 +120,8 @@ _MAX_WORKERS = 3
 # a node more than this many units in the last place of the largest node off
 # the panel lattice sends the rule to the one-panel path (see `_lattice`)
 _LATTICE_ULPS = 8
+# (rows, columns) of the strict upper triangle of a 3 x 3 matrix
+_TRIU = np.triu_indices(3, 1)
 
 
 def _blocks(count: int, width: int):
@@ -211,30 +218,32 @@ def _lattice(u: np.ndarray):
 def _phases(x: np.ndarray, c: np.ndarray, d: np.ndarray):
     """Centre and offset phases exp(i outer(x, c)) and exp(i outer(x, d)), (B, J) and (B, P).
 
-    Every entry comes from one tangent of its own half angle,
-    t = tan(x u / 2): cos = (1 - t^2)/(1 + t^2) and sin = 2t/(1 + t^2).
-    numpy's float64 tan is vectorized where the CPU allows, several times
-    cheaper than its cos and sin for arguments past a few radians.  No
-    entry is a recurrence, so its rounding does not grow with the number
-    of panels; each part is within 4.5e-16 of cos and sin, |e| within
-    4.5e-16 of 1, the entries at node 0 are exactly 1, and every entry of
-    a finite argument is finite (|t| of a double stays far below overflow).
-    A CPU without a vectorized tan takes the same formula through its
-    scalar tan, which can differ in the last bits.  e^{i u X_k} at node
+    Both are stored node-major: each is the transpose of a C-contiguous
+    (J, B) or (P, B) array, whose `.T` the callers contract, so every
+    per-node operation runs along the observations.  Every entry takes one
+    tangent of its own half angle and one division: t = tan(u x / 2),
+    r = 2/(1 + t^2) in its own buffer, cos = r - 1 and sin = t r.  numpy's
+    float64 tan is vectorized where the CPU allows, several times cheaper
+    than its cos and sin for arguments past a few radians.  No entry is a
+    recurrence, so its rounding does not grow with the number of panels;
+    each part is within 4.5e-16 of cos and sin, |e| within 4.5e-16 of 1,
+    the entries at node 0 are exactly 1, and every entry of a finite
+    argument is finite (|t| of a double stays far below overflow).  A CPU
+    without a vectorized tan takes the same formula through its scalar
+    tan, which can differ in the last bits.  e^{i u X_k} at node
     u = c[j] + d[p] is the product of entries (k, j) and (k, p).
     """
     out = []
     for nodes in (c, d):
-        t = np.multiply.outer(x, 0.5 * nodes)
+        t = np.multiply.outer(0.5 * nodes, x)
         np.tan(t, out=t)
-        # e itself holds t^2 and 1 + t^2 on the way, so a factor allocates two arrays
+        r = np.multiply(t, t)
+        r += 1.0
+        np.divide(2.0, r, out=r)
         e = np.empty(t.shape, dtype=complex)
-        re, im = e.real, e.imag
-        np.multiply(t, t, out=re)
-        np.add(re, 1.0, out=im)
-        np.divide(np.subtract(1.0, re, out=re), im, out=re)
-        np.divide(np.add(t, t, out=t), im, out=im)
-        out.append(e)
+        np.subtract(r, 1.0, out=e.real)
+        np.multiply(t, r, out=e.imag)
+        out.append(e.T)
     return out
 
 
@@ -243,15 +252,19 @@ def _panel_sums(coef: np.ndarray, c: np.ndarray, d: np.ndarray, y: np.ndarray, w
 
     coef (R, q) holds coefficients on the first q nodes, zero-padded to R
     rows of J panels of P; a point costs J + P phases (`_phases`) and
-    no (B, q) array is formed.  fn takes one block's values, shape (B, R);
-    its results are yielded in block order by `_map_blocks(..., y.size, width)`.
+    no (B, q) array is formed.  The offsets' contraction is one matrix
+    product, (R J, P) by the node-major (P, B) phases; the centres' is one
+    broadcast multiply by the (J, B) phases and a sum over the centre axis.
+    fn takes one block's values, shape (R, B); its results are yielded in
+    block order by `_map_blocks(..., y.size, width)`.
     """
     g = np.pad(coef, ((0, 0), (0, c.size * d.size - coef.shape[1]))).reshape(-1, d.size)
 
     def block(blk):
         cen, off = _phases(y[blk], c, d)
-        t = (off @ g.T).reshape(-1, len(coef), c.size)
-        return fn(np.matmul(t, cen[:, :, None])[..., 0])
+        t = (g @ off.T).reshape(len(coef), c.size, -1)
+        t *= cen.T
+        return fn(t.sum(axis=1))
     return _map_blocks(block, y.size, width)
 
 
@@ -342,7 +355,7 @@ def _plugin_gradient_hessian(u, w, s, n, p, ea, eb):
     hess[..., 1, 1] -= tm[..., 1]
     hess[..., 2, 2] -= tm[..., 2]
     # the upper triangle is mirrored, so the Hessian is symmetric bit for bit
-    i, j = np.triu_indices(3, 1)
+    i, j = _TRIU
     hess[..., j, i] = hess[..., i, j]
     return (-2.0 / n) * np.matmul(s_c, wr[..., :, None])[..., 0], hess
 
@@ -424,7 +437,8 @@ class ContrastEvaluator:
     def _features(self, x: np.ndarray) -> np.ndarray:
         """e^{iuX_k} on the folded nodes for a block of observations x, shape (B, Q)."""
         cen, off = _phases(x, self._c, self._d)
-        return (cen[:, :, None] * off[:, None, :]).reshape(len(cen), -1)[:, :self.u.size]
+        e = np.multiply(cen[:, :, None], off[:, None, :], order="C")
+        return e.reshape(len(x), -1)[:, :self.u.size]
 
     def _block(self, theta: EuclideanParam):
         """The module's `_block` on this sample's node sums: inv, c, s_inv, s_c."""
@@ -486,7 +500,7 @@ class ContrastEvaluator:
         info = 2.0 * jw @ jac.T
         score = np.zeros((3, 3))
         for part in _panel_sums(jw * inv, self._c, self._d, x, 2 * self.u.size,
-                                lambda t: t.imag.T @ t.imag):
+                                lambda t: t.imag @ t.imag.T):
             score += part
         return info, 4.0 * score / self.n
 

@@ -17,10 +17,13 @@ ghat*(u) / M(theta, u) becomes (1/n) sum_k e^{iuX_k} / M(theta_k, u).
 The U equispaced nodes are built as a lattice u = c_a + d_p of A panel
 starts and P ~ sqrt(U) offsets, so every phase e^{iuy} is the product
 e^{i c_a y} e^{i d_p y} of two entries of `contrast._phases`, the phase
-kernel the contrast evaluator uses (one half-angle tangent per entry): a
-data point, a leave-one-out location or an output point costs A + P phases
-instead of U.  The output sum is `contrast._panel_sums`, the panel
-transform of the sandwich's score pass.  The data, leave-one-out and output
+kernel the contrast evaluator uses (one half-angle tangent and one division
+per entry, stored node-major): a data point, a leave-one-out location or an
+output point costs A + P phases instead of U.  The data sums are one matrix
+product over a block's observations; the leave-one-out block builds each
+M(theta_k, u) on the lattice in one node-major (A, P, B) array and sums
+its inverse along the observations.  The output sum is
+`contrast._panel_sums`, the panel transform of the sandwich's score pass.  The data, leave-one-out and output
 passes and the kernel density estimate's pass run through the contrast
 module's one block loop, `contrast._map_blocks`: a pass of at least
 `contrast._THREAD_MIN_BLOCKS` blocks runs on up to three usable CPUs, and its
@@ -177,9 +180,9 @@ def _u_grid(bandwidth: float, max_phase_arg: float) -> tuple[np.ndarray, tuple]:
     the pair (c, d).
     """
     u_max = _u_max(bandwidth)
-    du_target = 2.0 * math.pi / (16.0 * max(max_phase_arg, 1.0))
-    # clamped before rounding: the ratio is infinite when the phase bound overflows
-    ratio = min(u_max / du_target, _MAX_U_NODES)
+    # u_max over the step 2 pi / (16 max(max_phase_arg, 1)), clamped before
+    # rounding: an infinite phase bound gives an infinite ratio, not a zero step
+    ratio = min(u_max * 16.0 * max(max_phase_arg, 1.0) / (2.0 * math.pi), _MAX_U_NODES)
     count = min(_MAX_U_NODES, max(_MIN_U_NODES, math.ceil(ratio) + 1))
     du = u_max / (count - 1)
     p = math.isqrt(count - 1) + 1
@@ -238,17 +241,18 @@ def deconvolved_density_values(sample: Sample, theta: EuclideanParam,
         def block(blk):
             cen_a, off_a = _phases(a_k[blk], c, d)
             cen_b, off_b = _phases(b_k[blk], c, d)
-            # M_k on the whole (A, P) lattice, past u's last node too, in one array
-            shifted_m = (p_k[blk, None] * cen_a)[:, :, None] * off_a[:, None, :]
-            shifted_m += ((1.0 - p_k[blk, None]) * cen_b)[:, :, None] * off_b[:, None, :]
-            return np.divide(1.0, shifted_m, out=shifted_m).sum(axis=0)
+            # M_k on the whole (A, P) lattice, past u's last node too, in one
+            # node-major (A, P, B) array
+            shifted_m = (p_k[blk] * cen_a.T)[:, None, :] * off_a.T
+            shifted_m += ((1.0 - p_k[blk]) * cen_b.T)[:, None, :] * off_b.T
+            return np.divide(1.0, shifted_m, out=shifted_m).sum(axis=2)
         ratio = np.zeros((c.size, d.size), dtype=complex)
         for part in _map_blocks(block, sample.n, u.size):
             ratio += part
         ratio = ratio.ravel()[:u.size]
     coef = trap * damp * ratio / sample.n
     return np.concatenate(list(_panel_sums(coef[None], c, d, -xs, u.size,
-                                           lambda t: 2.0 * t[:, 0].real)))
+                                           lambda t: 2.0 * t[0].real)))
 
 
 def estimate_density(sample: Sample, theta_hat: EuclideanParam, cfg: DensityConfig,

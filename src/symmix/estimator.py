@@ -37,8 +37,10 @@ bit for bit.
 
 One frame (`_Frame`, built by `_frame`) holds what these share: the
 centred sample and its median, its robust scale, computed once, from which
-the default configuration and the smoothing bandwidth both come, the contrast
-configuration and the fit objective's evaluator.  `fit`,
+the default configuration and the smoothing bandwidth both come, the start
+points' quantiles, the contrast configuration and the fit objective's
+evaluator.  The median, the scale's quartiles and the start quantiles are
+read from one sorted copy of the sample (`_order_statistics`).  `fit`,
 `asymptotic_covariance`, `leave_one_out_thetas` and `symmix scan` each
 build it once and pass it down.  It is not kept on the FitResult: the
 centred sample is n floats, 400 KiB at n = 50,000, against under 1 KiB for
@@ -123,12 +125,16 @@ class FitResult:
 
 
 def robust_scale(values) -> float:
-    """Normal-consistent interquartile scale, falling back to the standard deviation."""
+    """Normal-consistent interquartile scale, falling back to the standard deviation.
+
+    The fallback is taken of the sorted values, so the scale depends on the
+    values alone, not on their order: a caller may pass a sorted copy.
+    """
     x = np.asarray(values, dtype=float)
     q1, q3 = np.quantile(x, [0.25, 0.75])
     s = (q3 - q1) / 1.349
     if s <= 0.0:
-        s = float(np.std(x, ddof=1))
+        s = float(np.std(np.sort(x), ddof=1))
     if s <= 0.0:
         raise ValueError("sample has zero dispersion")
     return float(s)
@@ -162,10 +168,15 @@ def initial_points(sample: Sample, cfg: FitConfig) -> list[EuclideanParam]:
     """
     if sample.n < 10:
         raise SampleTooSmall("initial points need n >= 10")
+    return _start_points(np.quantile(sample.values, _START_QUANTILES), cfg)
+
+
+def _start_points(pairs: np.ndarray, cfg: FitConfig) -> list[EuclideanParam]:
+    """`initial_points` from the sample's location quantile pairs at `_START_QUANTILES`."""
     box = cfg.box
     pts: list[EuclideanParam] = []
     seen = set()
-    for a, b in np.quantile(sample.values, _START_QUANTILES):
+    for a, b in pairs:
         if abs(a - b) < box.sep_min:
             b = a + box.sep_min
         for p in _START_PS:
@@ -216,26 +227,43 @@ class _Frame:
     """One sample's fit frame: what the fit, its covariance and its refits share.
 
     `centred` is the sample minus its median `m` (see `_centred`), `scale`
-    its robust scale, `ccfg` the contrast configuration (by default the one
-    of that scale) and `ev` the fit objective's evaluator, smoothed at that
-    scale; the covariance reads the centred sample again.  Built by `_frame`
-    and passed to what needs it; never kept on a FitResult (see the module
-    docstring).
+    its robust scale, `quantiles` its location quantile pairs at
+    `_START_QUANTILES`, from which the fit's starts come, `ccfg` the
+    contrast configuration (by default the one of that scale) and `ev` the
+    fit objective's evaluator, smoothed at that scale; the covariance reads
+    the centred sample again.  Built by `_frame` and passed to what needs
+    it; never kept on a FitResult (see the module docstring).
     """
 
     centred: Sample
     m: float
     scale: float
+    quantiles: np.ndarray
     ccfg: ContrastConfig
     ev: ContrastEvaluator
 
 
 def _frame(sample: Sample, ccfg: ContrastConfig | None = None) -> _Frame:
-    """The fit frame of `sample`: one centring, one robust scale, one evaluator."""
-    centred, m = _centred(sample)
-    scale = robust_scale(centred.values)
+    """The fit frame of `sample`: one sort, one centring, one robust scale, one evaluator."""
+    m, scale, quantiles = _order_statistics(sample.values)
+    centred = Sample(sample.values - m)
     ccfg = ccfg or _default_config(centred.n, scale)
-    return _Frame(centred, m, scale, ccfg, _smoothed_evaluator(centred, ccfg, scale))
+    return _Frame(centred, m, scale, quantiles, ccfg, _smoothed_evaluator(centred, ccfg, scale))
+
+
+def _order_statistics(x: np.ndarray):
+    """The median m of x, and the robust scale and start quantile pairs of x - m, from one sort.
+
+    Each is numpy's own median or quantile, or `robust_scale`, of the sorted
+    copy, and so equals its value on x bit for bit: they depend on the
+    values alone.  Rounding is monotone, so x_j - m is nondecreasing in x_j
+    and the sorted copy less m is the centred sample, sorted.  The copy is
+    freed on return, before `_frame` builds its evaluator.
+    """
+    xs = np.sort(x)
+    m = float(np.median(xs))
+    xs -= m
+    return m, robust_scale(xs), np.quantile(xs, _START_QUANTILES)
 
 
 def _descend(ev: ContrastEvaluator, start: EuclideanParam, cfg: FitConfig):
@@ -275,7 +303,7 @@ def _fit(frame: _Frame, cfg: FitConfig) -> FitResult:
     box, ccfg, ev, m = cfg.box, frame.ccfg, frame.ev, frame.m
     sep = _merge_sep(box, frame.scale)
     candidates = []
-    for start in initial_points(frame.centred, cfg):
+    for start in _start_points(frame.quantiles, cfg):
         res = _descend(ev, start, cfg)
         p, a, b = (float(v) for v in res.x)
         pinned = p <= box.p_low + 1e-3 * (box.p_high - box.p_low) \
@@ -393,9 +421,10 @@ def _loo_scales(x: np.ndarray) -> np.ndarray:
     the removed observation ranks above j, and its (j+1)-th otherwise.  The
     quartiles read a few order statistics next to q (n - 2), so the scale is
     the same for every removed rank between two of those positions: one
-    robust_scale per such run of ranks serves.  The standard-deviation
-    fallback of a zero interquartile range reads every value and is
-    computed for each k.
+    pair of quartiles per such run of ranks serves, and its scale is
+    robust_scale's own (q3 - q1) / 1.349.  The standard-deviation fallback
+    of a zero interquartile range reads every value and is computed for
+    each k.
     """
     n = x.size
     order = np.argsort(x, kind="stable")
@@ -407,7 +436,7 @@ def _loo_scales(x: np.ndarray) -> np.ndarray:
         reduced = np.delete(xs, lo)
         q1, q3 = np.quantile(reduced, [0.25, 0.75])
         if q3 > q1:
-            scales[order[lo:hi]] = robust_scale(reduced)
+            scales[order[lo:hi]] = (q3 - q1) / 1.349
         else:
             scales[order[lo:hi]] = [robust_scale(np.delete(x, k)) for k in order[lo:hi]]
     return scales

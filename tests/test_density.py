@@ -225,6 +225,8 @@ U_GRID_COUNTS = [
     # a phase bound past the float range, a numpy scalar as deconvolved_density_values
     # passes it: the node cap, not a rounded infinite ratio
     ((0.69, np.float64(np.inf)), 16384),
+    # and a Python float infinity: no division by a zero step 2 pi / (16 bound)
+    ((0.69, math.inf), 16384),
 ]
 
 

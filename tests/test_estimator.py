@@ -589,3 +589,32 @@ def test_loo_scales_equal_robust_scale_of_each_reduced_sample():
               np.r_[np.zeros(30), rng.standard_normal(3)], rng.standard_normal(10)):
         want = [robust_scale(np.delete(x, k)) for k in range(x.size)]
         assert np.array_equal(_loo_scales(x), want)
+
+
+def test_frame_order_statistics_from_one_sort_equal_unsorted_ones():
+    # the frame reads its median, robust scale and start quantiles from one
+    # sorted copy; each must equal numpy's (or robust_scale's, or
+    # initial_points') own on the unsorted sample, bit for bit, in any row order
+    from symmix.estimator import _START_QUANTILES, _frame, _start_points, robust_scale
+
+    rng = np.random.default_rng(23)
+    cfg = FitConfig(starts=9)
+    samples = {
+        "n10": rng.standard_normal(10),
+        "odd": rng.standard_normal(37),
+        "even-ties": np.round(rng.standard_normal(60), 1),
+        "odd-ties": np.round(3.0 * rng.standard_normal(41)),
+        "zero-iqr": np.r_[np.zeros(30), rng.standard_normal(5)],     # the std fallback
+        "n50000": 7.0 + 3.0 * gauss_sample(50_000).values,
+    }
+    for name, x in samples.items():
+        m = np.median(x)
+        centred = x - m
+        want_starts = initial_points(Sample(centred), cfg)
+        for rows in (x, rng.permutation(x)):
+            frame = _frame(Sample(rows))
+            assert frame.m == m, name
+            assert np.array_equal(frame.centred.values, rows - m), name
+            assert frame.scale == robust_scale(centred), name
+            assert np.array_equal(frame.quantiles, np.quantile(centred, _START_QUANTILES)), name
+            assert _start_points(frame.quantiles, cfg) == want_starts, name

@@ -20,15 +20,16 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import __version__
-from .contrast import ContrastConfig, default_trunc_h
+from .contrast import ContrastConfig
 from .density import DensityConfig, deconvolved_density_values, default_bandwidth, \
     estimate_density, estimate_g
 from .errors import DegenerateFit, DegenerateParam, EmptyPositivePart, SampleTooSmall, \
     SymmixError
-from .estimator import FitConfig, _centred, _fit, _frame, _shift, fit, robust_scale
+from .estimator import FitConfig, _centred, _cutoff_and_trunc, _fit, _frame, _shift, fit, \
+    robust_scale
 from .params import EuclideanParam, Sample
-from .simulate import MCSummary, ScenarioSpec, run_scenario
-from .weights import build_weight_rule, scale_aware_cutoff
+from .simulate import FAMILIES, MCSummary, ScenarioSpec, run_scenario
+from .weights import build_weight_rule
 
 __all__ = ["main", "read_numeric_csv", "rainfall_path"]
 
@@ -126,19 +127,13 @@ def _load(args) -> tuple[Sample, ContrastConfig]:
         raise CliInputError(f"{args.csv_path}: need at least 10 observations, got {values.size}")
     sample = Sample(values)
     with _user_input():
-        # the fit's frame and scale, as in default_contrast_config; rejects
-        # constant data, --cutoff or not
+        # the fit's frame and scale, as in default_contrast_config, and the
+        # fit's own default rule, which --cutoff and --trunc-h override;
+        # rejects constant data, --cutoff or not
         scale = robust_scale(_centred(sample)[0].values)
-        cutoff = args.cutoff if args.cutoff is not None else scale_aware_cutoff(scale)
+        cutoff, trunc_h = _cutoff_and_trunc(sample.n, scale, args.cutoff, args.trunc_h)
         rule = build_weight_rule("laplace_default", args.weight_nodes, cutoff)
-        trunc_h = args.trunc_h if args.trunc_h is not None else \
-            default_trunc_h(sample.n, cutoff=cutoff)
         return sample, ContrastConfig(rule, trunc_h)
-
-
-def _fit_config(args) -> FitConfig:
-    with _user_input():
-        return FitConfig(starts=args.starts)
 
 
 def _config_echo(args, sample: Sample, ccfg: ContrastConfig, **extra) -> dict:
@@ -223,13 +218,20 @@ def _jobs(text: str) -> int:
     return jobs
 
 
+def _starts(text: str) -> int:
+    """argparse type of --starts, a start count FitConfig accepts: checked before any work."""
+    starts = int(text)
+    with _user_input():
+        return FitConfig(starts=starts).starts
+
+
 # argparse names the type in its message for a value int() rejects
-_jobs.__name__ = "int"
+_jobs.__name__ = _starts.__name__ = "int"
 
 
 def cmd_fit(args) -> int:
     sample, ccfg = _load(args)
-    payload = fit(sample, _fit_config(args), ccfg).to_dict()
+    payload = fit(sample, FitConfig(starts=args.starts), ccfg).to_dict()
     payload["manifest"] = {**payload["manifest"],
                            **_manifest("fit", _config_echo(args, sample, ccfg), args.csv_path)}
     _emit(args.out, _dump(payload))
@@ -241,7 +243,7 @@ def cmd_density(args) -> int:
     bandwidth = args.bandwidth if args.bandwidth is not None else default_bandwidth(sample.n)
     with _user_input():
         dcfg = DensityConfig(bandwidth=bandwidth, grid=args.grid)
-    theta = args.theta or fit(sample, _fit_config(args), ccfg).theta_hat
+    theta = args.theta or fit(sample, FitConfig(starts=args.starts), ccfg).theta_hat
     curve = estimate_density(sample, theta, dcfg)
     g_curve = estimate_g(sample, dcfg, xs=curve.xs)
     # reconstruction column evaluates f at the shifted points exactly, so the
@@ -293,7 +295,7 @@ def cmd_simulate(args) -> int:
     with _user_input():
         spec = ScenarioSpec(family=args.family, theta0=args.theta0, n=args.n,
                             replications=args.M, seed=seed, mix_lambda=args.mix_lambda)
-    summary = run_scenario(spec, _fit_config(args), jobs=args.jobs)
+    summary = run_scenario(spec, FitConfig(starts=args.starts), jobs=args.jobs)
     csv_text = _summary_csv(summary)
     if not args.out:
         sys.stdout.write(csv_text)
@@ -313,7 +315,7 @@ def cmd_scan(args) -> int:
     # scanned on the fit's own evaluator in the fit's frame, so the row at
     # theta_hat repeats the fit's contrast and objective
     frame = _frame(sample, ccfg)
-    theta = _fit(frame, _fit_config(args)).theta_hat
+    theta = _fit(frame, FitConfig(starts=args.starts)).theta_hat
 
     lines = [f"{args.param},contrast,objective"]
     for v in np.linspace(lo, hi, steps):
@@ -345,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="frequency cutoff (default: scale-aware)")
             p.add_argument("--trunc-h", type=float, default=None,
                            help="Fourier truncation h (default: n-rule)")
-        p.add_argument("--starts", type=int, default=8)
+        p.add_argument("--starts", type=_starts, default=FitConfig.starts)
         p.add_argument("--out", default=None)
 
     p_fit = sub.add_parser("fit", help="estimate (p, alpha, beta)")
@@ -363,8 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fitting(p_sim, with_input=False)
     p_sim.add_argument("--seed", type=int, default=None,
                        help="replication seed (default: SYMMIX_SEED, else 0)")
-    p_sim.add_argument("--family", required=True,
-                       choices=["gauss", "cauchy", "laplace", "asym_gauss_mix"])
+    p_sim.add_argument("--family", required=True, choices=FAMILIES)
     p_sim.add_argument("--theta0", type=_theta, required=True, help="p,alpha,beta")
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--M", type=int, required=True)

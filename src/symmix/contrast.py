@@ -60,10 +60,13 @@ evaluator's O(Q) numbers.
 Every pass over observations or points in the package, these two, the
 density's and the leave-one-out refits', is one call of `_map_blocks`: a
 per-block function over blocks of about _BLOCK_ELEMENTS entries, whose
-results the caller adds in block order.  A pass of at least
-_THREAD_MIN_BLOCKS blocks (25 at n = 50,000 and the default rule) runs its
-blocks on up to _MAX_WORKERS usable CPUs; the order of the additions does
-not change, so the output is the same bit for bit at any thread count.
+results the caller reduces with one expression, `sum` of the block results
+in block order for a sum over observations, `np.concatenate` for a result
+per point or per refit; no caller seeds an accumulator of its own.  A pass
+of at least _THREAD_MIN_BLOCKS blocks (25 at n = 50,000 and the default
+rule) runs its blocks on up to _MAX_WORKERS usable CPUs; the order of the
+additions does not change, so the output is the same bit for bit at any
+thread count.
 
 Values, gradients and the sandwich covariance pieces all come from one
 derivative block (1/M, Mdot/M^2) on the nodes: V_n is the weighted sum of
@@ -149,8 +152,9 @@ def _map_blocks(fn, count: int, width: int):
     overlap.  A pass holds one block's arrays per worker, and at most two
     blocks' results per worker wait for the caller.  A shorter pass, or
     one usable CPU, runs serially.  The results come in block order
-    either way, so a caller that adds them in the order they come gets the
-    same bits at any thread count.  An exception raised in fn reaches the
+    either way, and the caller reduces them as they come with one
+    expression, `sum(...)` or `np.concatenate(...)`, so it gets the same
+    bits at any thread count.  An exception raised in fn reaches the
     caller.  numpy's errstate is a context variable that pool threads do
     not inherit: a threaded fn runs under numpy's default error state.
     """
@@ -247,16 +251,18 @@ def _phases(x: np.ndarray, c: np.ndarray, d: np.ndarray):
     return out
 
 
-def _panel_sums(coef: np.ndarray, c: np.ndarray, d: np.ndarray, y: np.ndarray, width: int, fn):
-    """fn of sum_u coef[r, u] e^{iuy} on the lattice u = c_j + d_p, per block of y.
+def _panel_sums(coef: np.ndarray, c: np.ndarray, d: np.ndarray, y: np.ndarray, width: int):
+    """sum_u coef[r, u] e^{iuy} on the lattice u = c_j + d_p, one (R, B) array per block of y.
 
     coef (R, q) holds coefficients on the first q nodes, zero-padded to R
     rows of J panels of P; a point costs J + P phases (`_phases`) and
     no (B, q) array is formed.  The offsets' contraction is one matrix
     product, (R J, P) by the node-major (P, B) phases; the centres' is one
     broadcast multiply by the (J, B) phases and a sum over the centre axis.
-    fn takes one block's values, shape (R, B); its results are yielded in
-    block order by `_map_blocks(..., y.size, width)`.
+    The blocks' complex sums are yielded in block order by
+    `_map_blocks(..., y.size, width)`; the caller reduces them, the
+    sandwich to the sum of t.imag @ t.imag.T and the density to the
+    concatenation of 2 Re t[0].
     """
     g = np.pad(coef, ((0, 0), (0, c.size * d.size - coef.shape[1]))).reshape(-1, d.size)
 
@@ -264,13 +270,14 @@ def _panel_sums(coef: np.ndarray, c: np.ndarray, d: np.ndarray, y: np.ndarray, w
         cen, off = _phases(y[blk], c, d)
         t = (g @ off.T).reshape(len(coef), c.size, -1)
         t *= cen.T
-        return fn(t.sum(axis=1))
+        return t.sum(axis=1)
     return _map_blocks(block, y.size, width)
 
 
 def default_trunc_h(n: int, cutoff: float = 30.0) -> float:
     """Truncation parameter h = n^{-1/2} / log n, kept so that 1/h <= cutoff.
 
+    A finite cutoff must be positive; an infinite one keeps the rate rule.
     The rate rule assumes Sobolev smoothness above 1/4 (below that the
     squared bias cannot be driven under the variance at any truncation).
     """
@@ -278,6 +285,8 @@ def default_trunc_h(n: int, cutoff: float = 30.0) -> float:
         raise SampleTooSmall("need n >= 2")
     h = 1.0 / (math.sqrt(n) * math.log(n))
     if math.isfinite(cutoff):
+        if not cutoff > 0.0:
+            raise ValueError("cutoff must be positive")
         h = max(h, 1.0 / cutoff)
     return h
 
@@ -427,12 +436,8 @@ class ContrastEvaluator:
 
         def block(blk):
             cen, off = _phases(sample.values[blk], self._c, self._d)
-            return cen.T @ off, (cen * cen).T @ (off * off)
-        sums = sq = 0.0          # the first block's arrays replace these
-        for part, part2 in _map_blocks(block, sample.n, 2 * q):
-            sums += part
-            sq += part2
-        self._s, self._s2 = sums.ravel()[:q], sq.ravel()[:q]
+            return np.stack([cen.T @ off, (cen * cen).T @ (off * off)])
+        self._s, self._s2 = sum(_map_blocks(block, sample.n, 2 * q)).reshape(2, -1)[:, :q]
 
     def _features(self, x: np.ndarray) -> np.ndarray:
         """e^{iuX_k} on the folded nodes for a block of observations x, shape (B, Q)."""
@@ -498,10 +503,8 @@ class ContrastEvaluator:
         jac = -s_c / self.n
         jw = jac * self.w
         info = 2.0 * jw @ jac.T
-        score = np.zeros((3, 3))
-        for part in _panel_sums(jw * inv, self._c, self._d, x, 2 * self.u.size,
-                                lambda t: t.imag @ t.imag.T):
-            score += part
+        score = sum(t.imag @ t.imag.T
+                    for t in _panel_sums(jw * inv, self._c, self._d, x, 2 * self.u.size))
         return info, 4.0 * score / self.n
 
 

@@ -23,12 +23,14 @@ output point costs A + P phases instead of U.  The data sums are one matrix
 product over a block's observations; the leave-one-out block builds each
 M(theta_k, u) on the lattice in one node-major (A, P, B) array and sums
 its inverse along the observations.  The output sum is
-`contrast._panel_sums`, the panel transform of the sandwich's score pass.  The data, leave-one-out and output
-passes and the kernel density estimate's pass run through the contrast
-module's one block loop, `contrast._map_blocks`: a pass of at least
-`contrast._THREAD_MIN_BLOCKS` blocks runs on up to three usable CPUs, and its
-block results are added in block order, so the density is the same bit for
-bit at any thread count.
+`contrast._panel_sums`, the panel transform of the sandwich's score pass.
+The data, leave-one-out and output passes and the kernel density
+estimate's pass run through the contrast module's one block loop,
+`contrast._map_blocks`: a pass of at least `contrast._THREAD_MIN_BLOCKS`
+blocks runs on up to three usable CPUs, and each pass reduces its block
+results with one expression, `sum` in block order for the data sums and
+the kernel estimate and `np.concatenate` for the output points, so the
+density is the same bit for bit at any thread count.
 
 The data and the locations are first centred at the sample median m.  Each
 ratio e^{iuX} / M(theta, u) is unchanged by a common shift, so f_n is the
@@ -229,10 +231,7 @@ def deconvolved_density_values(sample: Sample, theta: EuclideanParam,
         def block(blk):
             cen, off = _phases(x_data[blk], c, d)
             return cen.T @ off
-        sums = 0.0               # the first block's (A, P) array replaces this
-        for part in _map_blocks(block, sample.n, u.size):
-            sums += part
-        ratio = sums.ravel()[:u.size] / m_func(at, u)
+        ratio = sum(_map_blocks(block, sample.n, u.size)).ravel()[:u.size] / m_func(at, u)
     else:
         # e^{iuX_k} / M(theta_k, u) = 1 / (p_k e^{iu(alpha_k-X_k)} + (1-p_k) e^{iu(beta_k-X_k)})
         p_k, a_k, b_k = np.array([th.as_array() for th in loo_thetas]).T
@@ -246,13 +245,9 @@ def deconvolved_density_values(sample: Sample, theta: EuclideanParam,
             shifted_m = (p_k[blk] * cen_a.T)[:, None, :] * off_a.T
             shifted_m += ((1.0 - p_k[blk]) * cen_b.T)[:, None, :] * off_b.T
             return np.divide(1.0, shifted_m, out=shifted_m).sum(axis=2)
-        ratio = np.zeros((c.size, d.size), dtype=complex)
-        for part in _map_blocks(block, sample.n, u.size):
-            ratio += part
-        ratio = ratio.ravel()[:u.size]
+        ratio = sum(_map_blocks(block, sample.n, u.size)).ravel()[:u.size]
     coef = trap * damp * ratio / sample.n
-    return np.concatenate(list(_panel_sums(coef[None], c, d, -xs, u.size,
-                                           lambda t: 2.0 * t[0].real)))
+    return np.concatenate([2.0 * t[0].real for t in _panel_sums(coef[None], c, d, -xs, u.size)])
 
 
 def estimate_density(sample: Sample, theta_hat: EuclideanParam, cfg: DensityConfig,
@@ -293,9 +288,7 @@ def estimate_g(sample: Sample, cfg: DensityConfig, xs=None) -> KernelCurve:
     def block(blk):
         z = (xs[:, None] - sample.values[None, blk]) / cfg.bandwidth
         return np.exp(-0.5 * z * z).sum(axis=1)
-    vals = np.zeros(xs.size)
-    for part in _map_blocks(block, sample.n, xs.size):
-        vals += part
+    vals = sum(_map_blocks(block, sample.n, xs.size))
     vals /= sample.n * cfg.bandwidth * math.sqrt(2.0 * math.pi)
     return KernelCurve(xs=xs, values=vals, bandwidth=cfg.bandwidth)
 

@@ -32,8 +32,8 @@ nothing in exact arithmetic (see `_centred`) and makes the estimate
 translation-equivariant in floating point.  The default contrast
 configuration (the weight rule's cutoff and the truncation) is computed
 from the centred sample's scale as well, by `fit` and by the command line
-alike, so `symmix fit` reports the same estimate as `fit` on the same data,
-bit for bit.
+alike, through one function, `_cutoff_and_trunc`, so `symmix fit` reports
+the same estimate as `fit` on the same data, bit for bit.
 
 One frame (`_Frame`, built by `_frame`) holds what these share: the
 centred sample and its median, its robust scale, computed once, from which
@@ -93,7 +93,10 @@ class FitConfig:
 
     def __post_init__(self):
         for name in ("starts", "max_iter"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
         design = len(_START_QUANTILES) * len(_START_PS)
         if self.starts > design:
@@ -154,9 +157,22 @@ def default_contrast_config(sample: Sample) -> ContrastConfig:
 
 def _default_config(n: int, scale: float) -> ContrastConfig:
     """`default_contrast_config` of n observations of the given robust scale."""
-    cutoff = scale_aware_cutoff(scale)
-    rule = build_weight_rule("laplace_default", 256, cutoff)
-    return ContrastConfig(rule, default_trunc_h(n, cutoff=cutoff))
+    cutoff, trunc_h = _cutoff_and_trunc(n, scale)
+    return ContrastConfig(build_weight_rule("laplace_default", 256, cutoff), trunc_h)
+
+
+def _cutoff_and_trunc(n: int, scale: float, cutoff: float | None = None,
+                      trunc_h: float | None = None) -> tuple[float, float]:
+    """The weight rule's cutoff and the truncation h for n observations of this robust scale.
+
+    The one home of the default contrast rule, read by `fit` and by the
+    command line: the cutoff is `scale_aware_cutoff(scale)` and h is
+    `default_trunc_h(n, cutoff)`, h = max(1/(sqrt(n) log n), 1/cutoff);
+    a given cutoff or h replaces its default, and the default h follows a
+    given cutoff.
+    """
+    cutoff = scale_aware_cutoff(scale) if cutoff is None else cutoff
+    return cutoff, default_trunc_h(n, cutoff=cutoff) if trunc_h is None else trunc_h
 
 
 def initial_points(sample: Sample, cfg: FitConfig) -> list[EuclideanParam]:
@@ -301,34 +317,26 @@ def fit(sample: Sample, cfg: FitConfig | None = None,
 def _fit(frame: _Frame, cfg: FitConfig) -> FitResult:
     """`fit` in a frame built by `_frame` (of at least 10 observations)."""
     box, ccfg, ev, m = cfg.box, frame.ccfg, frame.ev, frame.m
-    sep = _merge_sep(box, frame.scale)
-    candidates = []
+    sep, edge = _merge_sep(box, frame.scale), 1e-3 * (box.p_high - box.p_low)
+    # (objective, theta, converged) of every descent that neither pins p
+    # within `edge` of the box nor merges the locations
+    valid = []
     for start in _start_points(frame.quantiles, cfg):
         res = _descend(ev, start, cfg)
         p, a, b = (float(v) for v in res.x)
-        pinned = p <= box.p_low + 1e-3 * (box.p_high - box.p_low) \
-            or p >= box.p_high - 1e-3 * (box.p_high - box.p_low)
-        merged = abs(a - b) < sep
-        candidates.append({
-            "theta": (p, a, b),
-            "objective": float(res.fun),
-            "degenerate": bool(pinned or merged),
+        if not (p <= box.p_low + edge or p >= box.p_high - edge or abs(a - b) < sep):
             # an ABNORMAL line search at the rounding floor is a finished
             # descent; only running out of iterations is not
-            "converged": res.status != 1,
-        })
-
-    valid = [c for c in candidates if not c["degenerate"]]
+            valid.append((float(res.fun), (p, a, b), res.status != 1))
     if not valid:
         raise DegenerateFit(
             "all optimization paths collapsed to the parameter boundary; "
             "the sample looks effectively one-component")
     # smallest objective wins; ties broken by canonical lexicographic order
-    valid.sort(key=lambda c: (c["objective"], c["theta"]))
-    best = valid[0]
-    ref = np.array(best["theta"])
+    valid.sort(key=lambda e: e[:2])
+    ref = np.array(valid[0][1])
     tol_agree = 1e-3 * max(1.0, float(np.max(np.abs(ref))))
-    agree = sum(bool(np.max(np.abs(np.array(c["theta"]) - ref)) <= tol_agree) for c in valid)
+    agree = sum(bool(np.max(np.abs(np.array(theta) - ref)) <= tol_agree) for _, theta, _ in valid)
 
     # the winner polished to the gradient root, unless Newton refuses it, merges
     # the locations or leaves the winner's basin
@@ -363,7 +371,7 @@ def _fit(frame: _Frame, cfg: FitConfig) -> FitResult:
         objective_at_opt=ev.plugin(at),
         covariance=cov,
         std_errors=std_errors,
-        converged=best["converged"],
+        converged=valid[0][2],
         n_restarts_agreeing=agree,
         manifest=manifest,
     )

@@ -10,13 +10,13 @@ sampling anywhere.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from .contrast import _cpus
 from .errors import SymmixError
 from .estimator import FitConfig, fit
 from .params import EuclideanParam, Sample
@@ -159,13 +159,14 @@ def run_scenario(spec: ScenarioSpec, fit_cfg: FitConfig | None = None,
                  jobs: int = 1) -> MCSummary:
     """Fit every replication and summarize the converged estimates.
 
-    At most min(jobs, replications, CPU count) worker processes run; one
-    means no pool.  Results are merged in replication order whatever the
-    execution order, so the summary is byte-identical across jobs settings.
+    At most min(jobs, replications, usable CPUs) worker processes run (the
+    CPUs this process may run on, `contrast._cpus`); one means no pool.
+    Results are merged in replication order whatever the execution order,
+    so the summary is byte-identical across jobs settings.
     """
     fit_cfg = fit_cfg or FitConfig()
     tasks = [(spec, fit_cfg, r) for r in range(spec.replications)]
-    workers = min(jobs, spec.replications, os.cpu_count() or 1)
+    workers = min(jobs, spec.replications, _cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             digests = list(pool.map(_one_replication, tasks, chunksize=1))

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from symmix import Sample, fit
+from symmix import ContrastConfig, Sample, build_weight_rule, default_trunc_h, fit
 from symmix.cli import main, rainfall_path, read_numeric_csv
 from symmix.simulate import replication_rng
 
@@ -348,11 +348,14 @@ EMPTY_WINDOW = "truncation window |u| <= 1/trunc_h holds no weight-rule node"
     (["scan", "RAIN", "--param", "p", "--range", "0.1:0.3:3", "--trunc-h", "1e6"],
      EMPTY_WINDOW),
     (["fit", "RAIN", "--starts", "20"], "starts must be <= 9"),
+    # checked before any work, on a path that runs no fit too
+    (["density", "RAIN", "--theta", "0.3,12,40", "--starts", "99"], "starts must be <= 9"),
+    (["fit", "RAIN", "--cutoff", "0"], "cutoff must be positive"),
 ], ids=["fit-starts", "simulate-starts", "weight-nodes", "cutoff", "trunc-h", "bandwidth",
         "grid", "constant", "constant-cutoff", "jobs", "cutoff-inf", "trunc-h-inf",
         "bandwidth-inf", "grid-hi-inf", "grid-lo-inf", "grid-span-inf", "grid-phase-inf",
         "trunc-h-empty", "cutoff-empty", "density-cutoff-empty", "scan-trunc-h-empty",
-        "starts-above-design"])
+        "starts-above-design", "density-theta-starts", "cutoff-zero"])
 def test_invalid_flag_values_exit_2(rainfall, tmp_path, capsys, argv, message):
     const = tmp_path / "const.csv"
     const.write_text("5.0\n" * 12)
@@ -399,14 +402,23 @@ def test_cli_entry_point_runs(checkout_env):
     assert json.loads(proc.stdout)["theta_hat"]
 
 
-@pytest.mark.parametrize("offset", [1024.0, 2.0 ** 20, 1e6], ids=["1024", "2^20", "1e6"])
-def test_cli_fit_equals_library_fit(rainfall, tmp_path, offset):
-    # the CLI's default contrast configuration comes from the fit's own frame
+@pytest.mark.parametrize("offset, flags", [
+    (1024.0, []), (2.0 ** 20, []), (1e6, []),
+    (0.0, ["--cutoff", "5"]), (0.0, ["--cutoff", "5", "--trunc-h", "0.5"])],
+    ids=["1024", "2^20", "1e6", "cutoff", "cutoff-trunc-h"])
+def test_cli_fit_equals_library_fit(rainfall, tmp_path, offset, flags):
+    # the CLI's default contrast configuration comes from the fit's own frame,
+    # and --cutoff and --trunc-h override that one rule
     path = tmp_path / "shifted.csv"
     path.write_text("".join(f"{float(v) + offset!r}\n" for v in read_numeric_csv(rainfall)))
     out = tmp_path / "fit.json"
-    assert main(["fit", str(path), "--out", str(out)]) == 0
+    assert main(["fit", str(path), "--out", str(out)] + flags) == 0
     cli_theta = json.loads(out.read_text())["theta_hat"]
-    lib_theta = fit(Sample(read_numeric_csv(str(path)))).theta_hat
+    sample = Sample(read_numeric_csv(str(path)))
+    ccfg = None
+    if flags:
+        h = float(flags[3]) if len(flags) > 2 else default_trunc_h(sample.n, cutoff=5.0)
+        ccfg = ContrastConfig(build_weight_rule("laplace_default", 256, 5.0), h)
+    lib_theta = fit(sample, ccfg=ccfg).theta_hat
     assert [repr(cli_theta[k]) for k in ("p", "alpha", "beta")] == \
         [repr(lib_theta.p), repr(lib_theta.alpha), repr(lib_theta.beta)]

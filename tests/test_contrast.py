@@ -65,6 +65,12 @@ def test_default_trunc_h_smoothness_guard():
         default_trunc_h(1)
 
 
+@pytest.mark.parametrize("cutoff", [0.0, -0.0, -1.0])
+def test_default_trunc_h_rejects_nonpositive_cutoff(cutoff):
+    with pytest.raises(ValueError, match="cutoff must be positive"):
+        default_trunc_h(100, cutoff=cutoff)
+
+
 # ------------------------------------------------------------- score bounds
 
 

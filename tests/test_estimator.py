@@ -301,6 +301,15 @@ def test_fit_config_rejects_counts_below_one(kwargs):
         FitConfig(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [dict(starts=2.5), dict(max_iter=3.0), dict(starts="4")])
+def test_fit_config_rejects_non_integer_counts(kwargs):
+    # rejected where the config is made, not by a slice in the start design
+    name, value = next(iter(kwargs.items()))
+    with pytest.raises(TypeError, match=f"{name} must be an integer, got {value!r}"):
+        FitConfig(**kwargs)
+    assert FitConfig(**{name: np.int64(3)}) == FitConfig(**{name: 3})
+
+
 def test_fit_unconverged_at_iteration_limit():
     res = fit(gauss_sample(100, seed=7), FitConfig(max_iter=2))
     assert res.converged is False

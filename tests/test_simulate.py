@@ -117,7 +117,7 @@ def test_run_scenario_caps_workers(monkeypatch, jobs, replications, cpus, worker
             return map(fn, tasks)
 
     monkeypatch.setattr(symmix.simulate, "ProcessPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(symmix.simulate.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(symmix.simulate, "_cpus", lambda: cpus)
     spec = ScenarioSpec("gauss", THETA0, 60, replications, 5)
     summary = run_scenario(spec, FitConfig(starts=1), jobs=jobs)
     assert asked == [workers]

@@ -25,8 +25,7 @@ from .density import DensityConfig, deconvolved_density_values, default_bandwidt
     estimate_density, estimate_g
 from .errors import DegenerateFit, DegenerateParam, EmptyPositivePart, SampleTooSmall, \
     SymmixError
-from .estimator import FitConfig, _centred, _cutoff_and_trunc, _fit, _frame, _shift, fit, \
-    robust_scale
+from .estimator import FitConfig, _cutoff_and_trunc, _fit, _frame, _order_statistics, _shift, fit
 from .params import EuclideanParam, Sample
 from .simulate import FAMILIES, MCSummary, ScenarioSpec, run_scenario
 from .weights import build_weight_rule
@@ -125,15 +124,14 @@ def _load(args) -> tuple[Sample, ContrastConfig]:
     values = read_numeric_csv(args.csv_path)
     if values.size < 10:
         raise CliInputError(f"{args.csv_path}: need at least 10 observations, got {values.size}")
-    sample = Sample(values)
     with _user_input():
         # the fit's frame and scale, as in default_contrast_config, and the
         # fit's own default rule, which --cutoff and --trunc-h override;
         # rejects constant data, --cutoff or not
-        scale = robust_scale(_centred(sample)[0].values)
-        cutoff, trunc_h = _cutoff_and_trunc(sample.n, scale, args.cutoff, args.trunc_h)
+        scale = _order_statistics(values)[1]
+        cutoff, trunc_h = _cutoff_and_trunc(values.size, scale, args.cutoff, args.trunc_h)
         rule = build_weight_rule("laplace_default", args.weight_nodes, cutoff)
-        return sample, ContrastConfig(rule, trunc_h)
+        return Sample(values), ContrastConfig(rule, trunc_h)
 
 
 def _config_echo(args, sample: Sample, ccfg: ContrastConfig, **extra) -> dict:

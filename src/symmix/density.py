@@ -57,7 +57,7 @@ import numpy as np
 
 from .contrast import _map_blocks, _panel_sums, _phases
 from .errors import EmptyPositivePart
-from .estimator import _centred, _shift
+from .estimator import _shift
 from .params import EuclideanParam, Sample, m_func
 
 __all__ = [
@@ -217,8 +217,8 @@ def deconvolved_density_values(sample: Sample, theta: EuclideanParam,
     xs = np.asarray(xs, dtype=float)
     if loo_thetas is not None and len(loo_thetas) != sample.n:
         raise ValueError("need one leave-one-out parameter per observation")
-    centred, m = _centred(sample)
-    x_data = centred.values
+    m = float(np.median(sample.values))
+    x_data = sample.values - m
     at = _shift(theta, -m)
     arg_bound = np.max(np.abs(x_data)) + np.max(np.abs(xs)) + max(abs(at.alpha), abs(at.beta))
     u, (c, d) = _u_grid(bandwidth, arg_bound)

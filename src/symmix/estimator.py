@@ -28,7 +28,7 @@ are the full sample's minus one observation's features, and its weights
 differ only through its robust scale.  A refit that Newton refuses falls
 back to the descent on the reduced sample's own evaluator.  Every fit
 statistic is computed on the sample centred at its median, which changes
-nothing in exact arithmetic (see `_centred`) and makes the estimate
+nothing in exact arithmetic (see `_frame`) and makes the estimate
 translation-equivariant in floating point.  The default contrast
 configuration (the weight rule's cutoff and the truncation) is computed
 from the centred sample's scale as well, by `fit` and by the command line
@@ -42,7 +42,8 @@ points' quantiles, the contrast configuration and the fit objective's
 evaluator.  The median, the scale's quartiles and the start quantiles are
 read from one sorted copy of the sample (`_order_statistics`).  `fit`,
 `asymptotic_covariance`, `leave_one_out_thetas` and `symmix scan` each
-build it once and pass it down.  It is not kept on the FitResult: the
+build it once and pass it down, and `_frame` alone enforces their floor of
+10 observations.  It is not kept on the FitResult: the
 centred sample is n floats, 400 KiB at n = 50,000, against under 1 KiB for
 the result, and a caller may keep thousands of results.
 
@@ -84,20 +85,20 @@ SMOOTH_C = 1.0
 _START_QUANTILES = ((0.25, 0.75), (0.1, 0.9), (0.2, 0.8))
 _START_PS = (0.25, 0.1, 0.4)
 
+# L-BFGS-B iterations a descent gets; a winner that used them all is not `converged`
+_MAX_ITER = 500
+
 
 @dataclass(frozen=True)
 class FitConfig:
     starts: int = 8
-    max_iter: int = 500
     box: ParamBox = field(default_factory=ParamBox)
 
     def __post_init__(self):
-        for name in ("starts", "max_iter"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
+        if not isinstance(self.starts, (int, np.integer)):
+            raise TypeError(f"starts must be an integer, got {self.starts!r}")
+        if self.starts < 1:
+            raise ValueError("starts must be >= 1")
         design = len(_START_QUANTILES) * len(_START_PS)
         if self.starts > design:
             raise ValueError(f"starts must be <= {design}")
@@ -152,7 +153,7 @@ def default_contrast_config(sample: Sample) -> ContrastConfig:
     function carries signal rather than noise.  The rule has 256 nodes.  The
     scale is the centred sample's, as in `fit` (see `_frame`).
     """
-    return _default_config(sample.n, robust_scale(_centred(sample)[0].values))
+    return _default_config(sample.n, _order_statistics(sample.values)[1])
 
 
 def _default_config(n: int, scale: float) -> ContrastConfig:
@@ -214,35 +215,16 @@ def _merge_sep(box: ParamBox, scale: float) -> float:
     return max(box.sep_min, 1e-3 * scale)
 
 
-def _centred(sample: Sample) -> tuple[Sample, float]:
-    """The sample minus its median m, and m: the frame the fit is computed in.
-
-    e^{iuX}/M(theta, u) is unchanged when the data and both locations move
-    together, so every statistic at theta equals the centred sample's at
-    theta - m.  Computed there, the phases uX stay of the order of the
-    data's spread rather than of |m|, and the estimate is
-    translation-equivariant in floating point.  The scale is left alone:
-    the weight rule is not scale-equivariant.
-    """
-    m = float(np.median(sample.values))
-    return Sample(sample.values - m), m
-
-
 def _shift(theta: EuclideanParam, c: float) -> EuclideanParam:
     """theta with both locations moved by c."""
     return EuclideanParam(theta.p, theta.alpha + c, theta.beta + c)
-
-
-def _smoothed_evaluator(sample: Sample, ccfg: ContrastConfig, scale: float) -> ContrastEvaluator:
-    """Evaluator of the fit objective: rule weights smoothed at the bandwidth of `scale`."""
-    return ContrastEvaluator(sample, ccfg, _smoothing(sample.n, scale))
 
 
 @dataclass(frozen=True, slots=True)
 class _Frame:
     """One sample's fit frame: what the fit, its covariance and its refits share.
 
-    `centred` is the sample minus its median `m` (see `_centred`), `scale`
+    `centred` is the sample minus its median `m` (see `_frame`), `scale`
     its robust scale, `quantiles` its location quantile pairs at
     `_START_QUANTILES`, from which the fit's starts come, `ccfg` the
     contrast configuration (by default the one of that scale) and `ev` the
@@ -260,11 +242,23 @@ class _Frame:
 
 
 def _frame(sample: Sample, ccfg: ContrastConfig | None = None) -> _Frame:
-    """The fit frame of `sample`: one sort, one centring, one robust scale, one evaluator."""
+    """The fit frame of `sample`: one sort, one centring, one robust scale, one evaluator.
+
+    e^{iuX}/M(theta, u) is unchanged when the data and both locations move
+    together, so every statistic at theta equals the centred sample's at
+    theta - m.  Computed there, the phases uX stay of the order of the
+    data's spread rather than of |m|, and the estimate is
+    translation-equivariant in floating point.  The scale is left alone:
+    the weight rule is not scale-equivariant.  Raises SampleTooSmall below
+    10 observations, before any work.
+    """
+    if sample.n < 10:
+        raise SampleTooSmall(f"fitting needs n >= 10, got {sample.n}")
     m, scale, quantiles = _order_statistics(sample.values)
     centred = Sample(sample.values - m)
     ccfg = ccfg or _default_config(centred.n, scale)
-    return _Frame(centred, m, scale, quantiles, ccfg, _smoothed_evaluator(centred, ccfg, scale))
+    return _Frame(centred, m, scale, quantiles, ccfg,
+                  ContrastEvaluator(centred, ccfg, _smoothing(centred.n, scale)))
 
 
 def _order_statistics(x: np.ndarray):
@@ -288,7 +282,7 @@ def _descend(ev: ContrastEvaluator, start: EuclideanParam, cfg: FitConfig):
     return minimize(lambda z: ev.plugin_value_gradient(EuclideanParam(*z)),
                     start.as_array(), jac=True, method="L-BFGS-B",
                     bounds=[(box.p_low, box.p_high), (None, None), (None, None)],
-                    options=dict(maxiter=cfg.max_iter, ftol=1e-16, gtol=1e-12))
+                    options=dict(maxiter=_MAX_ITER, ftol=1e-16, gtol=1e-12))
 
 
 def fit(sample: Sample, cfg: FitConfig | None = None,
@@ -297,7 +291,7 @@ def fit(sample: Sample, cfg: FitConfig | None = None,
 
     The fit runs on the sample centred at its median m and adds m back to
     the locations.  Each start of `initial_points` runs one bounded descent
-    (at most cfg.max_iter L-BFGS-B iterations); the result is `converged`
+    (at most _MAX_ITER L-BFGS-B iterations); the result is `converged`
     unless the winning start hit that limit.  The winner is polished by
     Newton's method to the gradient root of the contrast, unless Newton
     refuses it, merges the locations or leaves the winner's basin (see the
@@ -309,8 +303,6 @@ def fit(sample: Sample, cfg: FitConfig | None = None,
     (an effectively one-component sample; with p near 0 the minor location
     is not identifiable).
     """
-    if sample.n < 10:
-        raise SampleTooSmall(f"fit needs n >= 10, got {sample.n}")
     return _fit(_frame(sample, ccfg), cfg or FitConfig())
 
 
@@ -361,7 +353,7 @@ def _fit(frame: _Frame, cfg: FitConfig) -> FitResult:
         "smooth_bandwidth": _smoothing(ev.n, 1.0),
         "robust_scale": frame.scale,
         "starts": cfg.starts,
-        "max_iter": cfg.max_iter,
+        "max_iter": _MAX_ITER,
         "box": {"p_low": box.p_low, "p_high": box.p_high, "sep_min": box.sep_min},
         "covariance_form": sigma_form,
     }
@@ -384,17 +376,17 @@ def asymptotic_covariance(sample: Sample, theta_hat: EuclideanParam,
     At `fit`'s estimate and configuration it equals `FitResult.covariance`
     bit for bit, except that an ill-conditioned information matrix raises
     SingularInformation instead of falling back to pinv.  Standard errors
-    of theta_hat are sqrt(diag / n).
+    of theta_hat are sqrt(diag / n).  Raises SampleTooSmall below 10
+    observations, as `fit` does.
     """
-    if sample.n < 10:
-        raise SampleTooSmall("covariance plug-in needs n >= 10")
     frame = _frame(sample, ccfg)
-    return _sandwich(frame.ev, _shift(theta_hat, -frame.m), frame.centred.values,
-                     fallback=False)[0]
+    return _covariance_with_fallback(frame.ev, _shift(theta_hat, -frame.m),
+                                     frame.centred.values, fallback=False)[0]
 
 
-def _sandwich(ev: ContrastEvaluator, theta: EuclideanParam, x: np.ndarray, fallback: bool):
-    """Symmetrized I^{-1} V I^{-1} and the form used.
+def _covariance_with_fallback(ev: ContrastEvaluator, theta: EuclideanParam, x: np.ndarray,
+                              fallback: bool = True):
+    """Symmetrized I^{-1} V I^{-1} and the form used: the fit's sandwich covariance.
 
     x is the sample `ev` was built from, read once for the scores.
 
@@ -415,11 +407,6 @@ def _sandwich(ev: ContrastEvaluator, theta: EuclideanParam, x: np.ndarray, fallb
         form = "sandwich"
     cov = inv_i @ v_hat @ inv_i
     return 0.5 * (cov + cov.T), form
-
-
-def _covariance_with_fallback(ev: ContrastEvaluator, theta: EuclideanParam, x: np.ndarray):
-    """The fit's sandwich covariance, by pinv when the information is ill-conditioned."""
-    return _sandwich(ev, theta, x, fallback=True)
 
 
 def _loo_scales(x: np.ndarray) -> np.ndarray:
@@ -533,8 +520,6 @@ def leave_one_out_thetas(sample: Sample, theta_hat: EuclideanParam,
     fit's rule (`_merge_sep` at the full sample's scale), returns theta_hat.
     Raises SampleTooSmall below 10 observations, as `fit` does.
     """
-    if sample.n < 10:
-        raise SampleTooSmall(f"leave-one-out needs n >= 10, got {sample.n}")
     cfg = cfg or FitConfig()
     frame = _frame(sample, ccfg)
     scales = _loo_scales(frame.centred.values)
@@ -545,7 +530,8 @@ def leave_one_out_thetas(sample: Sample, theta_hat: EuclideanParam,
     for k in range(sample.n):
         if not ok[k]:
             reduced = Sample(np.delete(frame.centred.values, k))
-            thetas[k] = _descend(_smoothed_evaluator(reduced, frame.ccfg, scales[k]), start, cfg).x
+            ev = ContrastEvaluator(reduced, frame.ccfg, _smoothing(reduced.n, scales[k]))
+            thetas[k] = _descend(ev, start, cfg).x
         p, a, b = (float(v) for v in thetas[k])
         out.append(theta_hat if abs(a - b) < sep else _shift(EuclideanParam(p, a, b), frame.m))
     return out

@@ -56,6 +56,8 @@ class ScenarioSpec:
         if self.family == "asym_gauss_mix":
             if self.mix_lambda is None or not 0.0 < self.mix_lambda < 1.0:
                 raise ValueError("asym_gauss_mix requires mix_lambda in (0, 1)")
+        elif self.mix_lambda is not None:
+            raise ValueError("mix_lambda applies only to asym_gauss_mix")
 
 
 @dataclass(frozen=True)
@@ -68,12 +70,7 @@ class MCSummary:
 
     def to_dict(self) -> dict:
         return {
-            "family": self.spec.family,
-            "theta0": asdict(self.spec.theta0),
-            "n": self.spec.n,
-            "replications": self.spec.replications,
-            "seed": self.spec.seed,
-            "mix_lambda": self.spec.mix_lambda,
+            **asdict(self.spec),
             "empirical_means": None if self.empirical_means is None
             else [float(v) for v in self.empirical_means],
             "empirical_sds": None if self.empirical_sds is None

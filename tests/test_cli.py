@@ -351,11 +351,13 @@ EMPTY_WINDOW = "truncation window |u| <= 1/trunc_h holds no weight-rule node"
     # checked before any work, on a path that runs no fit too
     (["density", "RAIN", "--theta", "0.3,12,40", "--starts", "99"], "starts must be <= 9"),
     (["fit", "RAIN", "--cutoff", "0"], "cutoff must be positive"),
+    # a lambda that no draw of the family reads
+    (SIM + ["--mix-lambda", "0.3"], "mix_lambda applies only to asym_gauss_mix"),
 ], ids=["fit-starts", "simulate-starts", "weight-nodes", "cutoff", "trunc-h", "bandwidth",
         "grid", "constant", "constant-cutoff", "jobs", "cutoff-inf", "trunc-h-inf",
         "bandwidth-inf", "grid-hi-inf", "grid-lo-inf", "grid-span-inf", "grid-phase-inf",
         "trunc-h-empty", "cutoff-empty", "density-cutoff-empty", "scan-trunc-h-empty",
-        "starts-above-design", "density-theta-starts", "cutoff-zero"])
+        "starts-above-design", "density-theta-starts", "cutoff-zero", "mix-lambda"])
 def test_invalid_flag_values_exit_2(rainfall, tmp_path, capsys, argv, message):
     const = tmp_path / "const.csv"
     const.write_text("5.0\n" * 12)

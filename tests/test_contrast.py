@@ -483,11 +483,11 @@ def test_fit_memory_with_4096_node_rule():
 
     from symmix import fit
     from symmix.cli import rainfall_path, read_numeric_csv
-    from symmix.estimator import _centred, robust_scale
+    from symmix.estimator import robust_scale
     from symmix.weights import scale_aware_cutoff
 
     sample = Sample(read_numeric_csv(rainfall_path()))
-    cutoff = scale_aware_cutoff(robust_scale(_centred(sample)[0].values))
+    cutoff = scale_aware_cutoff(robust_scale(sample.values - np.median(sample.values)))
     ccfg = ContrastConfig(build_weight_rule("laplace_default", 4096, cutoff),
                           default_trunc_h(sample.n, cutoff=cutoff))
     tracemalloc.start()

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from symmix import (ContrastConfig, DegenerateFit, EuclideanParam, FitConfig,
-                    SampleTooSmall, Sample, ScenarioSpec, SingularInformation,
+from symmix import (ContrastConfig, ContrastEvaluator, DegenerateFit, EuclideanParam,
+                    FitConfig, SampleTooSmall, Sample, ScenarioSpec, SingularInformation,
                     asymptotic_covariance, build_weight_rule, default_contrast_config,
                     fit, initial_points, leave_one_out_thetas, sample_mixture)
 
@@ -65,9 +65,20 @@ def test_fit_recovers_truth_reasonably():
     assert res.theta_hat.p < 0.5
 
 
-def test_fit_requires_ten_points():
-    with pytest.raises(SampleTooSmall):
-        fit(Sample(np.arange(9.0)))
+@pytest.mark.parametrize("entry", [fit, asymptotic_covariance, leave_one_out_thetas],
+                         ids=lambda f: f.__name__)
+def test_fit_frame_needs_ten_observations(entry):
+    # the frame's one floor, checked before any work: no numeric warning
+    import warnings
+
+    values = gauss_sample(10).values
+    args = () if entry is fit else (THETA0,)
+    for n in (2, 9):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SampleTooSmall, match="n >= 10"):
+                entry(Sample(values[:n]), *args)
+    entry(Sample(values), *args)
 
 
 def root_gap_bound(sample_a, sample_b, theta_a, shift=0.0):
@@ -196,7 +207,6 @@ def test_fit_objective_not_above_start_values():
     cfg = FitConfig(starts=8)
     ccfg = default_contrast_config(sample)
     res = fit(sample, cfg, ccfg)
-    from symmix import ContrastEvaluator
     from symmix.estimator import _smoothing, robust_scale
     ev = ContrastEvaluator(sample, ccfg, _smoothing(sample.n, robust_scale(sample.values)))
     for pt in initial_points(sample, cfg):
@@ -219,7 +229,7 @@ def test_fit_near_single_component():
 def test_fit_search_evaluation_budget(monkeypatch):
     # every objective evaluation of the search, with or without gradient; the
     # Newton polish evaluates neither, so refusing it leaves the count alone
-    from symmix import ContrastEvaluator, estimator
+    from symmix import estimator
     calls = []
     for name in ("plugin", "plugin_value_gradient"):
         inner = getattr(ContrastEvaluator, name)
@@ -295,13 +305,13 @@ def test_plugin_repeats_fit_objective():
             assert repr(value) == repr(res.objective_at_opt)
 
 
-@pytest.mark.parametrize("kwargs", [dict(starts=0), dict(max_iter=0), dict(max_iter=-3)])
+@pytest.mark.parametrize("kwargs", [dict(starts=0), dict(starts=-3), dict(starts=np.int64(0))])
 def test_fit_config_rejects_counts_below_one(kwargs):
-    with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be >= 1"):
+    with pytest.raises(ValueError, match="starts must be >= 1"):
         FitConfig(**kwargs)
 
 
-@pytest.mark.parametrize("kwargs", [dict(starts=2.5), dict(max_iter=3.0), dict(starts="4")])
+@pytest.mark.parametrize("kwargs", [dict(starts=2.5), dict(starts=3.0), dict(starts="4")])
 def test_fit_config_rejects_non_integer_counts(kwargs):
     # rejected where the config is made, not by a slice in the start design
     name, value = next(iter(kwargs.items()))
@@ -310,9 +320,19 @@ def test_fit_config_rejects_non_integer_counts(kwargs):
     assert FitConfig(**{name: np.int64(3)}) == FitConfig(**{name: 3})
 
 
-def test_fit_unconverged_at_iteration_limit():
-    res = fit(gauss_sample(100, seed=7), FitConfig(max_iter=2))
+def test_fit_config_has_no_iteration_limit():
+    # the descents' iteration limit is the constant _MAX_ITER, not an option
+    with pytest.raises(TypeError, match="unexpected keyword argument 'max_iter'"):
+        FitConfig(max_iter=2)
+
+
+def test_fit_unconverged_at_iteration_limit(monkeypatch):
+    from symmix import estimator
+
+    monkeypatch.setattr(estimator, "_MAX_ITER", 2)
+    res = fit(gauss_sample(100, seed=7))
     assert res.converged is False
+    assert res.manifest["max_iter"] == 2
 
 
 def test_fit_reaches_laplace_row_minimum():
@@ -379,7 +399,7 @@ def test_fit_memory_does_not_grow_with_n():
 def test_ill_conditioned_information_falls_back_or_raises():
     from types import SimpleNamespace
 
-    from symmix.estimator import _covariance_with_fallback, _sandwich
+    from symmix.estimator import _covariance_with_fallback
 
     info = np.diag([1.0, 1.0, 1e-14])
     ev = SimpleNamespace(information_and_score=lambda theta, x: (info, np.eye(3)))
@@ -387,7 +407,7 @@ def test_ill_conditioned_information_falls_back_or_raises():
     assert form == "sandwich-pinv"
     assert np.array_equal(cov, np.diag([1.0, 1.0, 0.0]))
     with pytest.raises(SingularInformation, match="1e\\+14 exceeds 1e12"):
-        _sandwich(ev, THETA0, None, fallback=False)
+        _covariance_with_fallback(ev, THETA0, None, fallback=False)
 
 
 def test_large_sample_within_four_plugin_ses():
@@ -438,17 +458,18 @@ def test_leave_one_out_thetas_stay_close():
 def reference_leave_one_out(sample, theta_hat, cfg=FitConfig()):
     """The per-observation algorithm: rebuild the evaluator of each reduced
     sample and run one L-BFGS-B descent from theta_hat."""
-    from symmix.estimator import _centred, _descend, _shift, _smoothed_evaluator, robust_scale
+    from symmix.estimator import _descend, _shift, _smoothing, robust_scale
 
-    centred, m = _centred(sample)
+    m = float(np.median(sample.values))
+    centred = sample.values - m
     ccfg = default_contrast_config(sample)
     start = _shift(theta_hat, -m)
     # the fit's merge rule, at the full sample's scale
-    sep = max(cfg.box.sep_min, 1e-3 * robust_scale(centred.values))
+    sep = max(cfg.box.sep_min, 1e-3 * robust_scale(centred))
     out = []
     for k in range(sample.n):
-        reduced = Sample(np.delete(centred.values, k))
-        ev = _smoothed_evaluator(reduced, ccfg, robust_scale(reduced.values))
+        reduced = Sample(np.delete(centred, k))
+        ev = ContrastEvaluator(reduced, ccfg, _smoothing(reduced.n, robust_scale(reduced.values)))
         p, a, b = (float(v) for v in _descend(ev, start, cfg).x)
         out.append(theta_hat if abs(a - b) < sep else _shift(EuclideanParam(p, a, b), m))
     return out
@@ -456,12 +477,13 @@ def reference_leave_one_out(sample, theta_hat, cfg=FitConfig()):
 
 def rebuilt_evaluators(sample):
     """The fit objective's evaluator of each reduced sample, in the centred frame."""
-    from symmix.estimator import _centred, _smoothed_evaluator, robust_scale
+    from symmix.estimator import _smoothing, robust_scale
 
-    centred, m = _centred(sample)
+    m = float(np.median(sample.values))
     ccfg = default_contrast_config(sample)
-    reduced = [Sample(np.delete(centred.values, k)) for k in range(sample.n)]
-    return [_smoothed_evaluator(r, ccfg, robust_scale(r.values)) for r in reduced], m
+    reduced = [Sample(np.delete(sample.values - m, k)) for k in range(sample.n)]
+    return [ContrastEvaluator(r, ccfg, _smoothing(r.n, robust_scale(r.values)))
+            for r in reduced], m
 
 
 LOO_SAMPLES = ["rainfall", "gauss", "cauchy"]
@@ -533,18 +555,6 @@ def test_leave_one_out_matches_per_observation_descent(name, loo_cases):
         grad_got = max(grad_got, np.max(np.abs(g_got)))
         grad_ref = max(grad_ref, np.max(np.abs(g_ref)))
     assert grad_got <= grad_ref
-
-
-def test_leave_one_out_needs_ten_observations():
-    import warnings
-
-    values = gauss_sample(10).values
-    for n in (2, 9):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(SampleTooSmall, match="n >= 10"):
-                leave_one_out_thetas(Sample(values[:n]), THETA0)
-    assert len(leave_one_out_thetas(Sample(values), THETA0)) == 10
 
 
 def test_leave_one_out_falls_back_to_descent(loo_cases, monkeypatch):

@@ -23,3 +23,13 @@ def test_run_tables_imports_and_parses_flags():
     proc = run_script("run_tables.py", "--help")
     assert proc.returncode == 0, proc.stderr
     assert "--quick" in proc.stdout
+
+
+def test_code_lines_total_is_the_sum_of_the_modules():
+    proc = run_script("code_lines.py")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    counts = {name: int(count) for count, name in rows}
+    modules = {p.stem for p in (SCRIPTS.parent / "src" / "symmix").glob("*.py")}
+    assert set(counts) == modules | {"total"}
+    assert counts.pop("total") == sum(counts.values()) > 0

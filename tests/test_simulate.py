@@ -65,6 +65,8 @@ def test_scenario_spec_validation():
         ScenarioSpec("asym_gauss_mix", THETA0, 100, 10, 1)  # missing lambda
     with pytest.raises(ValueError):
         ScenarioSpec("gauss", THETA0, 100, 10, -3)
+    with pytest.raises(ValueError, match="mix_lambda applies only to asym_gauss_mix"):
+        ScenarioSpec("gauss", THETA0, 100, 10, 1, mix_lambda=0.3)
 
 
 def test_run_scenario_deterministic_and_summarized():

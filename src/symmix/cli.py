@@ -25,10 +25,11 @@ from .density import DensityConfig, deconvolved_density_values, default_bandwidt
     estimate_density, estimate_g
 from .errors import DegenerateFit, DegenerateParam, EmptyPositivePart, SampleTooSmall, \
     SymmixError
-from .estimator import FitConfig, _cutoff_and_trunc, _fit, _frame, _order_statistics, _shift, fit
+from .estimator import (_MIN_N, FitConfig, _cutoff_and_trunc, _fit, _frame, _order_statistics,
+                        _shift, fit)
 from .params import EuclideanParam, Sample
 from .simulate import FAMILIES, MCSummary, ScenarioSpec, run_scenario
-from .weights import build_weight_rule
+from .weights import _NODE_COUNT, build_weight_rule
 
 __all__ = ["main", "read_numeric_csv", "rainfall_path"]
 
@@ -122,15 +123,16 @@ def read_numeric_csv(path: str) -> np.ndarray:
 def _load(args) -> tuple[Sample, ContrastConfig]:
     """The sample in args.csv_path and the contrast configuration its flags select."""
     values = read_numeric_csv(args.csv_path)
-    if values.size < 10:
-        raise CliInputError(f"{args.csv_path}: need at least 10 observations, got {values.size}")
+    if values.size < _MIN_N:
+        raise CliInputError(
+            f"{args.csv_path}: need at least {_MIN_N} observations, got {values.size}")
     with _user_input():
         # the fit's frame and scale, as in default_contrast_config, and the
         # fit's own default rule, which --cutoff and --trunc-h override;
         # rejects constant data, --cutoff or not
         scale = _order_statistics(values)[1]
         cutoff, trunc_h = _cutoff_and_trunc(values.size, scale, args.cutoff, args.trunc_h)
-        rule = build_weight_rule("laplace_default", args.weight_nodes, cutoff)
+        rule = build_weight_rule(args.weight_nodes, cutoff)
         return Sample(values), ContrastConfig(rule, trunc_h)
 
 
@@ -340,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def fitting(p, with_input=True):
         if with_input:
             p.add_argument("csv_path", help="CSV file with one numeric column")
-            p.add_argument("--weight-nodes", type=int, default=256)
+            p.add_argument("--weight-nodes", type=int, default=_NODE_COUNT)
             p.add_argument("--cutoff", type=float, default=None,
                            help="frequency cutoff (default: scale-aware)")
             p.add_argument("--trunc-h", type=float, default=None,

@@ -109,7 +109,6 @@ __all__ = [
     "z_score",
     "z_score_gradient",
     "j_func",
-    "m_dot",
 ]
 
 # entries of one block of an observation-by-node or point-by-node matrix

@@ -1,5 +1,8 @@
 """Exception hierarchy for symmix."""
 
+__all__ = ["SymmixError", "DegenerateParam", "BadWeightSpec", "SampleTooSmall", "DegenerateFit",
+           "BadCharacteristicFunction", "SingularInformation", "EmptyPositivePart"]
+
 
 class SymmixError(Exception):
     """Base class for all symmix errors."""

@@ -88,6 +88,9 @@ _START_PS = (0.25, 0.1, 0.4)
 # L-BFGS-B iterations a descent gets; a winner that used them all is not `converged`
 _MAX_ITER = 500
 
+# the fewest observations a fit, its covariance, its refits or a scenario takes
+_MIN_N = 10
+
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -133,8 +136,12 @@ def robust_scale(values) -> float:
 
     The fallback is taken of the sorted values, so the scale depends on the
     values alone, not on their order: a caller may pass a sorted copy.
+    Raises ValueError for fewer than two values, a value that is not finite,
+    or values of zero dispersion.
     """
     x = np.asarray(values, dtype=float)
+    if x.size < 2 or not np.isfinite(x).all():
+        raise ValueError("robust scale needs at least 2 values, all finite")
     q1, q3 = np.quantile(x, [0.25, 0.75])
     s = (q3 - q1) / 1.349
     if s <= 0.0:
@@ -159,7 +166,7 @@ def default_contrast_config(sample: Sample) -> ContrastConfig:
 def _default_config(n: int, scale: float) -> ContrastConfig:
     """`default_contrast_config` of n observations of the given robust scale."""
     cutoff, trunc_h = _cutoff_and_trunc(n, scale)
-    return ContrastConfig(build_weight_rule("laplace_default", 256, cutoff), trunc_h)
+    return ContrastConfig(build_weight_rule(cutoff=cutoff), trunc_h)
 
 
 def _cutoff_and_trunc(n: int, scale: float, cutoff: float | None = None,
@@ -183,8 +190,8 @@ def initial_points(sample: Sample, cfg: FitConfig) -> list[EuclideanParam]:
     p in {0.25, 0.1, 0.4} in that order, so a single start uses
     (q25, q75, p = 0.25).  Duplicates after clipping are dropped.
     """
-    if sample.n < 10:
-        raise SampleTooSmall("initial points need n >= 10")
+    if sample.n < _MIN_N:
+        raise SampleTooSmall(f"initial points need n >= {_MIN_N}")
     return _start_points(np.quantile(sample.values, _START_QUANTILES), cfg)
 
 
@@ -252,8 +259,8 @@ def _frame(sample: Sample, ccfg: ContrastConfig | None = None) -> _Frame:
     the weight rule is not scale-equivariant.  Raises SampleTooSmall below
     10 observations, before any work.
     """
-    if sample.n < 10:
-        raise SampleTooSmall(f"fitting needs n >= 10, got {sample.n}")
+    if sample.n < _MIN_N:
+        raise SampleTooSmall(f"fitting needs n >= {_MIN_N}, got {sample.n}")
     m, scale, quantiles = _order_statistics(sample.values)
     centred = Sample(sample.values - m)
     ccfg = ccfg or _default_config(centred.n, scale)

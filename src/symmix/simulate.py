@@ -18,7 +18,7 @@ from scipy.special import ndtr, ndtri
 
 from .contrast import _cpus
 from .errors import SymmixError
-from .estimator import FitConfig, fit
+from .estimator import _MIN_N, FitConfig, fit
 from .params import EuclideanParam, Sample
 
 __all__ = [
@@ -47,8 +47,8 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, choose from {FAMILIES}")
-        if self.n < 10:
-            raise ValueError("scenario needs n >= 10")
+        if self.n < _MIN_N:
+            raise ValueError(f"scenario needs n >= {_MIN_N}")
         if self.replications < 1:
             raise ValueError("need at least one replication")
         if not 0 <= self.seed < 2 ** 64:

@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 _NODES_PER_PANEL = 8
+# the default rule's node count, for `fit` and `--weight-nodes` alike
+_NODE_COUNT = 256
 # scale_aware_cutoff: standardized frequency units covered, and the cap
 _CUTOFF_UNITS = 6.0
 _CUTOFF_CAP = 30.0
@@ -45,7 +47,14 @@ def laplace_density(u) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeightRule:
-    """Quadrature realization of a weight measure: sum_q weights[q] phi(nodes[q])."""
+    """Quadrature realization of a weight measure: sum_q weights[q] phi(nodes[q]).
+
+    Any W the estimator allows can be given directly, as
+    WeightRule(label, cutoff, nodes, weights): nodes and weights must be
+    1-d arrays of equal, nonzero length with finite entries, the weights
+    nonnegative and the third absolute moment sum_q weights[q] |nodes[q]|^3
+    finite.  Anything else raises BadWeightSpec.
+    """
 
     density_id: str
     cutoff: float
@@ -53,10 +62,21 @@ class WeightRule:
     weights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        self.nodes.flags.writeable = False
-        self.weights.flags.writeable = False
+        nodes = np.asarray(self.nodes, dtype=float)
+        weights = np.asarray(self.weights, dtype=float)
+        if nodes.shape != weights.shape or nodes.ndim != 1 or nodes.size == 0:
+            raise BadWeightSpec("nodes and weights must be 1-d arrays of equal, nonzero length")
+        if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
+            raise BadWeightSpec("nodes and weights must be finite")
+        if (weights < 0.0).any():
+            raise BadWeightSpec("weights must be nonnegative")
+        held = weights > 0.0    # a zero weight adds nothing, however far out its node
+        with np.errstate(over="ignore"):
+            if not math.isfinite(np.dot(weights[held], np.abs(nodes[held]) ** 3)):
+                raise BadWeightSpec("the third absolute moment of the weights is not finite")
+        nodes.flags.writeable = weights.flags.writeable = False
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def node_count(self) -> int:
@@ -85,35 +105,13 @@ def _half_axis_panels(m: int, cutoff: float):
     return counts, edges
 
 
-def build_weight_rule(density_id: str = "laplace_default",
-                      node_count: int = 256,
-                      cutoff: float = 30.0,
-                      table: tuple | None = None) -> WeightRule:
-    """Build the quadrature rule for a weight measure.
+def build_weight_rule(node_count: int = _NODE_COUNT, cutoff: float = 30.0) -> WeightRule:
+    """The default rule: the exponential weight exp(-|u|)/2 on [-cutoff, cutoff].
 
-    density_id "laplace_default": composite Gauss-Legendre on [-cutoff, cutoff]
-    with exp(-|u|)/2 folded into the weights; node_count must be even and
-    >= 16.  density_id "user_table": take (nodes, weights) directly from
-    `table` after validating positivity and finiteness of the third moment.
+    Composite Gauss-Legendre with the density folded into the weights;
+    node_count must be even and >= 16.  Any other weight measure is built
+    as a WeightRule directly.
     """
-    if density_id == "user_table":
-        if table is None:
-            raise BadWeightSpec("user_table rule requires table=(nodes, weights)")
-        nodes = np.asarray(table[0], dtype=float)
-        weights = np.asarray(table[1], dtype=float)
-        if nodes.shape != weights.shape or nodes.ndim != 1 or nodes.size == 0:
-            raise BadWeightSpec("table nodes/weights must be equal-length 1-d arrays")
-        if not np.all(np.isfinite(nodes)) or not np.all(np.isfinite(weights)):
-            raise BadWeightSpec("table contains non-finite entries")
-        if np.any(weights < 0.0):
-            raise BadWeightSpec("table weights must be nonnegative")
-        third = float(np.dot(weights, np.abs(nodes) ** 3))
-        if not np.isfinite(third):
-            raise BadWeightSpec("third absolute moment of the table is not finite")
-        return WeightRule("user_table", float(np.max(np.abs(nodes))), nodes, weights)
-
-    if density_id != "laplace_default":
-        raise BadWeightSpec(f"unknown density_id {density_id!r}")
     if node_count < 16 or node_count % 2 != 0:
         raise ValueError("node_count must be an even integer >= 16")
     if not math.isfinite(cutoff):
@@ -121,8 +119,7 @@ def build_weight_rule(density_id: str = "laplace_default",
     if not cutoff > 0.0:
         raise ValueError("cutoff must be positive")
 
-    m = node_count // 2
-    counts, edges = _half_axis_panels(m, cutoff)
+    counts, edges = _half_axis_panels(node_count // 2, cutoff)
     u_parts, w_parts = [], []
     for cnt, a, b in zip(counts, edges[:-1], edges[1:]):
         x, gw = _legendre(cnt)

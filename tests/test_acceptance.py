@@ -22,7 +22,7 @@ from symmix.cli import rainfall_path
 
 SEED = 7
 THETA_G = EuclideanParam(0.25, -1.0, 2.0)
-RULE30 = build_weight_rule("laplace_default", 256, 30.0)
+RULE30 = build_weight_rule(256, 30.0)
 CFG30 = ContrastConfig(RULE30, trunc_h=1.0 / 30.0)
 
 

@@ -420,7 +420,7 @@ def test_cli_fit_equals_library_fit(rainfall, tmp_path, offset, flags):
     ccfg = None
     if flags:
         h = float(flags[3]) if len(flags) > 2 else default_trunc_h(sample.n, cutoff=5.0)
-        ccfg = ContrastConfig(build_weight_rule("laplace_default", 256, 5.0), h)
+        ccfg = ContrastConfig(build_weight_rule(256, 5.0), h)
     lib_theta = fit(sample, ccfg=ccfg).theta_hat
     assert [repr(cli_theta[k]) for k in ("p", "alpha", "beta")] == \
         [repr(lib_theta.p), repr(lib_theta.alpha), repr(lib_theta.beta)]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from symmix import (BadCharacteristicFunction, ContrastConfig, ContrastEvaluator,
-                    EuclideanParam, SampleTooSmall, Sample, build_weight_rule,
+                    EuclideanParam, SampleTooSmall, Sample, WeightRule, build_weight_rule,
                     contrast_gradient, default_trunc_h, empirical_contrast, j_func,
                     m_func, oracle_contrast, plugin_contrast, z_score, z_score_gradient)
 from symmix import contrast
@@ -12,7 +12,7 @@ from symmix.contrast import m_dot
 from symmix.simulate import replication_rng
 
 THETA0 = EuclideanParam(0.25, -1.0, 2.0)
-RULE = build_weight_rule("laplace_default", 256, 30.0)
+RULE = build_weight_rule(256, 30.0)
 CFG = ContrastConfig(RULE, trunc_h=1.0 / 30.0)
 
 
@@ -269,11 +269,9 @@ def test_truncation_mask_reduces_nodes():
     assert ev.u.size < RULE.nodes.size
 
 
-def test_user_table_rule_drives_contrast():
-    from symmix import build_weight_rule
-
-    table_rule = build_weight_rule("user_table", table=(RULE.nodes, RULE.weights))
-    cfg = ContrastConfig(table_rule, trunc_h=1.0 / 30.0)
+def test_weight_rule_given_directly_drives_contrast():
+    given = WeightRule("given", RULE.cutoff, RULE.nodes, RULE.weights)
+    cfg = ContrastConfig(given, trunc_h=1.0 / 30.0)
     sample = gauss_sample(30)
     assert empirical_contrast(sample, THETA0, cfg) == empirical_contrast(sample, THETA0, CFG)
 
@@ -289,7 +287,7 @@ def _asymmetric_table():
     keep[[3, 40, 77]] = False                     # these +u lose their -u partner
     nodes = np.concatenate([-u_pos[keep], u_pos])
     weights = np.concatenate([0.6 * w_pos[keep], 1.4 * w_pos])
-    return build_weight_rule("user_table", table=(nodes, weights))
+    return WeightRule("asymmetric", RULE.cutoff, nodes, weights)
 
 
 DEFAULT_BUDGET = contrast._BLOCK_ELEMENTS
@@ -368,7 +366,7 @@ def test_weights_folded_once_equal_literal_fold(nodes):
 
     sample = Sample(read_numeric_csv(rainfall_path()))
     rule = _asymmetric_table() if nodes is None else \
-        build_weight_rule("laplace_default", nodes, _frame(sample).ccfg.weight_rule.cutoff)
+        build_weight_rule(nodes, _frame(sample).ccfg.weight_rule.cutoff)
     # for the default rules this is the fit's own truncation on these data
     ccfg = ContrastConfig(rule, trunc_h=1.0 / rule.cutoff)
     frame = _frame(sample, ccfg)
@@ -407,16 +405,16 @@ def _jittered_table():
     """The default rule's nodes moved off its panel lattice by about 1e-9 relative, +-u alike."""
     half = 1.0 + 1e-9 * replication_rng(5, 0).standard_normal(RULE.nodes.size // 2)
     jitter = np.concatenate([half[::-1], half])
-    return build_weight_rule("user_table", table=(RULE.nodes * jitter, RULE.weights))
+    return WeightRule("jittered", RULE.cutoff, RULE.nodes * jitter, RULE.weights)
 
 
 # (rule, cutoff of the truncation window, panels J and offsets P of the lattice found)
 @pytest.mark.parametrize("rule, window, panels", [
-    (build_weight_rule("laplace_default", 256, 0.5), 0.5, (16, 8)),
-    (build_weight_rule("laplace_default", 256, 3.64), 3.64, (16, 8)),
+    (build_weight_rule(256, 0.5), 0.5, (16, 8)),
+    (build_weight_rule(256, 3.64), 3.64, (16, 8)),
     (RULE, 30.0, (16, 8)),
     (RULE, 10.0, (6, 8)),           # the window keeps 43 nodes: 5 panels and 3 of a sixth
-    (build_weight_rule("laplace_default", 100, 30.0), 30.0, (1, 50)),   # panels of 9 and 8
+    (build_weight_rule(100, 30.0), 30.0, (1, 50)),   # panels of 9 and 8
     (_asymmetric_table(), 30.0, (16, 8)),     # folds onto the default rule's nodes
     (_jittered_table(), 30.0, (1, 128)),
 ], ids=["default-0.5", "default-3.64", "default-30", "cut-panel", "uneven-100",
@@ -470,7 +468,7 @@ def test_phase_kernel_matches_cos_and_sin():
 
 def test_evaluator_state_is_linear_in_rule_nodes():
     # no (2Q, 2Q) matrix: 128 MiB at 4,096 nodes
-    rule = build_weight_rule("laplace_default", 4096, 30.0)
+    rule = build_weight_rule(4096, 30.0)
     ev = ContrastEvaluator(gauss_sample(1_000), ContrastConfig(rule, trunc_h=1.0 / 30.0))
     arrays = [v for v in vars(ev).values() if isinstance(v, np.ndarray)]
     assert ev.u.size == 2048 and (ev._c.size, ev._d.size) == (256, 8)
@@ -488,7 +486,7 @@ def test_fit_memory_with_4096_node_rule():
 
     sample = Sample(read_numeric_csv(rainfall_path()))
     cutoff = scale_aware_cutoff(robust_scale(sample.values - np.median(sample.values)))
-    ccfg = ContrastConfig(build_weight_rule("laplace_default", 4096, cutoff),
+    ccfg = ContrastConfig(build_weight_rule(4096, cutoff),
                           default_trunc_h(sample.n, cutoff=cutoff))
     tracemalloc.start()
     try:

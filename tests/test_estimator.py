@@ -610,6 +610,15 @@ def test_loo_scales_equal_robust_scale_of_each_reduced_sample():
         assert np.array_equal(_loo_scales(x), want)
 
 
+@pytest.mark.parametrize("values", [[], [1.0], [np.nan, 1.0, 2.0], [1.0, 2.0, np.inf]],
+                         ids=["empty", "one-value", "nan", "inf"])
+def test_robust_scale_rejects_what_it_cannot_scale(values):
+    from symmix.estimator import robust_scale
+
+    with pytest.raises(ValueError, match="at least 2 values, all finite"):
+        robust_scale(values)
+
+
 def test_frame_order_statistics_from_one_sort_equal_unsorted_ones():
     # the frame reads its median, robust scale and start quantiles from one
     # sorted copy; each must equal numpy's (or robust_scale's, or

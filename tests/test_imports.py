@@ -1,5 +1,6 @@
-"""Every module-level import of a symmix module is used in it, and every
-private definition of the package is referenced in it.
+"""Every module-level import of a symmix module is used in it, every
+private definition of the package is referenced in it, and each public name
+is listed once, in the `__all__` of the module that defines it.
 
 The package's `__init__` imports to re-export and is left out of the import
 check; a name a module lists in its own `__all__` counts as used.  A private
@@ -12,8 +13,19 @@ from pathlib import Path
 
 import pytest
 
+import symmix
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "symmix"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def listed_names(tree: ast.Module) -> list[str]:
+    """The names in the module's literal `__all__`, or [] without one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -26,10 +38,7 @@ def unused_imports(tree: ast.Module) -> list[str]:
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used.update(ast.literal_eval(node.value))
+    used.update(listed_names(tree))
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
@@ -70,3 +79,38 @@ def test_unreferenced_private_definition_is_found():
              "b": ast.parse("import a\n\n\ndef __dunder__():\n    a._Dead()._gone\n"
                             "\n\ndef _helper():\n    pass\n")}
     assert unreferenced_private_definitions(trees) == ["a line 5: _method", "b line 8: _helper"]
+
+
+def export_problems(trees: dict[str, ast.Module]) -> list[str]:
+    """Names listed by two modules, or listed by a module that does not define them."""
+    problems, owner = [], {}
+    for module, tree in trees.items():
+        defined = {node.name for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+        defined.update(t.id for node in tree.body if isinstance(node, ast.Assign)
+                       for t in node.targets if isinstance(t, ast.Name))
+        for name in listed_names(tree):
+            if name in owner:
+                problems.append(f"{name} listed by {owner[name]} and {module}")
+            owner.setdefault(name, module)
+            if name not in defined:
+                problems.append(f"{module} lists {name} but does not define it")
+    return problems
+
+
+def test_each_public_name_is_listed_once_where_it_is_defined():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert all(listed_names(tree) for tree in trees.values())
+    assert export_problems(trees) == []
+
+
+def test_export_problem_is_found():
+    trees = {"a": ast.parse("from b import g\n__all__ = ['f', 'g']\ndef f():\n    pass\n"),
+             "b": ast.parse("__all__ = ['f', 'g']\nf = g = 1\n")}
+    assert export_problems(trees) == ["a lists g but does not define it",
+                                      "f listed by a and b", "g listed by a and b"]
+
+
+def test_package_exports_each_name_once():
+    assert len(symmix.__all__) == len(set(symmix.__all__))
+    assert all(hasattr(symmix, name) for name in symmix.__all__)

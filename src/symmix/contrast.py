@@ -80,8 +80,10 @@ for the Newton steps of the fit's polish and of the leave-one-out refits.
 `_block` takes each parameter's phases e^{iu alpha} and e^{iu beta} rather
 than its locations, so a caller that has them from the phase kernel, or
 shares one parameter across the batch, computes them once.
-`ContrastEvaluator._block`, the search path of every fit, takes them from
-np.exp: they are O(Q) per evaluation, not n-sized.
+`ContrastEvaluator._values_gradients`, the search path of every fit, takes
+them from np.exp for a batch of parameters at once: they are O(Q) per
+evaluation, not n-sized, and one call serves every start of a fit's
+lock-step descents.
 """
 
 from __future__ import annotations
@@ -480,10 +482,23 @@ class ContrastEvaluator:
 
     def plugin_value_gradient(self, theta: EuclideanParam):
         """Plug-in statistic r^T W r and its gradient 2 J W r in (p, alpha, beta)."""
-        _, _, s_inv, s_c = self._block(theta)
+        return self._values_gradients(theta.as_array()[None])[0]
+
+    def _values_gradients(self, thetas: np.ndarray) -> list:
+        """`plugin_value_gradient` of every row (p, alpha, beta) of thetas, shape (B, 3).
+
+        One `_block` call serves the batch, and each row is reduced on its
+        own, so a row's value and gradient are its batch of one's, bit for
+        bit: the fit's lock-step descents (`estimator._descend_all`) take
+        the same steps as one descent per start.
+        """
+        u = self.u
+        iu = 1j * u
+        _, _, s_inv, s_c, _ = _block(u, self._s, thetas[:, :1], np.exp(iu * thetas[:, 1:2]),
+                                     np.exp(iu * thetas[:, 2:]))
         r, jac = s_inv / self.n, -s_c / self.n
         wr = self.w * r
-        return float(np.dot(r, wr)), 2.0 * jac @ wr
+        return [(float(np.dot(r[i], wr[i])), 2.0 * jac[i] @ wr[i]) for i in range(len(thetas))]
 
     def information_and_score(self, theta: EuclideanParam, x: np.ndarray):
         """Sandwich pieces (info, v_hat) of the plug-in contrast at theta, each (3, 3).

@@ -12,9 +12,16 @@ population limit and no such wells.
 Optimization has two primitives, a descent and Newton's method, and the fit
 and the leave-one-out refits use both.  The descent is one bounded L-BFGS-B
 run per start on (p, alpha, beta) directly, with p held in the box and the
-analytic gradient of the plug-in contrast.  Candidates that collapse onto
+analytic gradient of the plug-in contrast.  The starts' runs go in
+lock-step (`_descend_all`): each round evaluates every start that asks for
+a value in one batched call, and each run takes the same steps as its own
+`scipy.optimize.minimize` call would.  Candidates that collapse onto
 the box edge in p or merge the two locations are set aside as degenerate;
-the smallest objective among the remaining candidates wins.  L-BFGS-B stops
+the smallest objective among the remaining candidates wins.  When every
+start collapses, a screen of the objective on a grid over the box
+(`_screen`) starts four more descents, and one of them wins if it is kept
+by the same rules and ends below every start's objective; else the fit is
+degenerate.  L-BFGS-B stops
 where the objective is flat to its rounding, so where the winner ends
 depends on the path.  The winner is then polished by `_newton`, steps on
 the exact Hessian from the winner to the contrast's gradient root, and the
@@ -58,7 +65,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .contrast import (ContrastConfig, ContrastEvaluator, _map_blocks, _plugin_gradient_hessian,
                        default_trunc_h)
@@ -90,6 +96,16 @@ _MAX_ITER = 500
 
 # the fewest observations a fit, its covariance, its refits or a scenario takes
 _MIN_N = 10
+
+# the screen of a fit whose starts all collapse (see `_screen`): its p values and
+# quantile levels, and the descents it starts
+_SCREEN_PS = (0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.49)
+_SCREEN_LEVELS = (np.arange(25) + 0.5) / 25
+_SCREEN_STARTS = 4
+# points per batched evaluation of the screen: the descents' batch at the default
+# 8 starts, so the screen adds nothing to a process's peak memory (a threaded
+# block pass of 42 points a block added 2.7 MiB of peak RSS and was no faster)
+_SCREEN_BATCH = 8
 
 
 @dataclass(frozen=True)
@@ -283,13 +299,119 @@ def _order_statistics(x: np.ndarray):
     return m, robust_scale(xs), np.quantile(xs, _START_QUANTILES)
 
 
-def _descend(ev: ContrastEvaluator, start: EuclideanParam, cfg: FitConfig):
-    """One L-BFGS-B descent of the plug-in contrast from `start`, p bounded to the box."""
-    box = cfg.box
-    return minimize(lambda z: ev.plugin_value_gradient(EuclideanParam(*z)),
-                    start.as_array(), jac=True, method="L-BFGS-B",
-                    bounds=[(box.p_low, box.p_high), (None, None), (None, None)],
-                    options=dict(maxiter=_MAX_ITER, ftol=1e-16, gtol=1e-12))
+# L-BFGS-B's settings, `minimize(..., method="L-BFGS-B")`'s with ftol=1e-16 and gtol=1e-12:
+# correction pairs kept, the factr and pgtol of those tolerances, line-search steps,
+# and minimize's default limit on evaluations
+_LBFGSB_M = 10
+_LBFGSB_FACTR = 1e-16 / np.finfo(float).eps
+_LBFGSB_PGTOL = 1e-12
+_LBFGSB_MAXLS = 20
+_LBFGSB_MAXFUN = 15_000
+
+
+class _Descent:
+    """One start's L-BFGS-B state in scipy's reverse-communication arrays, and its outcome.
+
+    `x`, `fun`, `nfev`, `nit` and `status` read as the fields of the same
+    name of `minimize`'s result: `fun` is the last value handed to the
+    routine, `status` 0 on convergence, 1 when the iterations or
+    evaluations ran out and 2 for any other stop (an ABNORMAL line search
+    at the rounding floor).
+    `at` and `value` are the point last evaluated and its value and
+    gradient; they start at x0, as scipy's ScalarFunction evaluates there
+    before the routine starts.
+    """
+
+    __slots__ = ("x", "fun", "g", "nfev", "nit", "at", "value", "_work")
+
+    def __init__(self, x0: np.ndarray, value):
+        n, m = x0.size, _LBFGSB_M
+        self.x, self.fun, self.g = x0.copy(), np.array(0.0), np.zeros(n)
+        self.nfev, self.nit = 1, 0
+        self.at, self.value = x0.copy(), value
+        # wa, iwa, task, lsave, isave, dsave, maxls and ln_task, sized as scipy sizes them
+        self._work = (np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m), np.zeros(3 * n, np.int32),
+                      np.zeros(2, np.int32), np.zeros(4, np.int32), np.zeros(44, np.int32),
+                      np.zeros(29), _LBFGSB_MAXLS, np.zeros(2, np.int32))
+
+    @property
+    def status(self) -> int:
+        if self._work[2][0] == 4:
+            return 0
+        return 1 if self.nit >= _MAX_ITER or self.nfev > _LBFGSB_MAXFUN else 2
+
+    def advance(self, setulb, bounds) -> bool:
+        """Run the routine until it asks for the value at `x` (True) or stops (False)."""
+        task = self._work[2]
+        while True:
+            setulb(_LBFGSB_M, self.x, *bounds, self.fun, self.g, _LBFGSB_FACTR, _LBFGSB_PGTOL,
+                   *self._work)
+            if task[0] == 3:
+                return True
+            if task[0] != 1:
+                return False
+            self.nit += 1
+            if self.nit >= _MAX_ITER:
+                task[:] = 5, 504
+            elif self.nfev > _LBFGSB_MAXFUN:
+                task[:] = 5, 502
+
+
+def _descend_all(ev: ContrastEvaluator, starts, box: ParamBox) -> list[_Descent]:
+    """One bounded L-BFGS-B descent of the plug-in contrast from each start, all in lock-step.
+
+    Each start keeps its own state and runs scipy's L-BFGS-B routine
+    (`setulb`) in scipy's own reverse-communication loop, with p bounded to
+    the box and at most _MAX_ITER iterations.  Each round, the starts that
+    ask for a value at a new point get it from one batched evaluation
+    (`ContrastEvaluator._values_gradients`), whose rows are bit for bit the
+    start's own `plugin_value_gradient`, so each descent is the one
+    `scipy.optimize.minimize(..., method="L-BFGS-B", jac=True)` takes with
+    options maxiter=_MAX_ITER, ftol=1e-16 and gtol=1e-12: the same points,
+    value, counts and status.  A start that asks again for the point it
+    last evaluated reuses that value.  The private routine is imported
+    here, so `import symmix` does not load `scipy.optimize`.
+    """
+    from scipy.optimize._lbfgsb import setulb
+
+    bounds = (np.array([box.p_low, 0.0, 0.0]), np.array([box.p_high, 0.0, 0.0]),
+              np.array([2, 0, 0], dtype=np.int32))
+    x0 = np.array([s.as_array() for s in starts]).reshape(-1, 3)
+    x0[:, 0] = np.clip(x0[:, 0], box.p_low, box.p_high)
+    runs = [_Descent(x, value) for x, value in zip(x0, ev._values_gradients(x0))]
+    live = runs
+    while live:
+        live = [run for run in live if run.advance(setulb, bounds)]
+        new = [run for run in live if not (run.x == run.at).all()]
+        if new:
+            for run, value in zip(new, ev._values_gradients(np.array([run.x for run in new]))):
+                run.at, run.value, run.nfev = run.x.copy(), value, run.nfev + 1
+        for run in live:
+            # the routine may write into g, so it gets a copy of the kept gradient
+            run.fun, g = run.value
+            run.g = g.copy()
+    return runs
+
+
+def _screen(frame: _Frame, box: ParamBox, sep: float) -> list[EuclideanParam]:
+    """The _SCREEN_STARTS lowest points of the fit objective on a grid over the box.
+
+    The grid crosses every ordered pair (alpha, beta) of the centred
+    sample's distinct quantiles at _SCREEN_LEVELS that lie at least `sep`
+    apart with p in _SCREEN_PS, clipped to the box: 4,200 points at the
+    defaults when the 25 quantiles differ, none when they all tie.  Its
+    values come from the batched objective, _SCREEN_BATCH points a call.
+    Ties go to the earlier point, p-major.  `fit` runs it only when every
+    standard start collapses, so a sample whose starts do not is untouched.
+    """
+    q = np.unique(np.quantile(frame.centred.values, _SCREEN_LEVELS))
+    pairs = np.stack(np.meshgrid(q, q, indexing="ij"), axis=-1).reshape(-1, 2)
+    pairs = pairs[np.abs(pairs[:, 0] - pairs[:, 1]) >= sep]
+    ps = np.clip(_SCREEN_PS, box.p_low, box.p_high)
+    points = np.column_stack([np.repeat(ps, len(pairs)), np.tile(pairs, (ps.size, 1))])
+    values = [value for i in range(0, len(points), _SCREEN_BATCH)
+              for value, _ in frame.ev._values_gradients(points[i:i + _SCREEN_BATCH])]
+    return [EuclideanParam(*points[i]) for i in np.argsort(values, kind="stable")[:_SCREEN_STARTS]]
 
 
 def fit(sample: Sample, cfg: FitConfig | None = None,
@@ -306,9 +428,9 @@ def fit(sample: Sample, cfg: FitConfig | None = None,
     estimate.
 
     Raises SampleTooSmall below 10 observations and DegenerateFit when every
-    optimization path collapses to the p-boundary or merges the locations
-    (an effectively one-component sample; with p near 0 the minor location
-    is not identifiable).
+    optimization path, the screen's included, collapses to the p-boundary
+    or merges the locations (an effectively one-component sample; with p
+    near 0 the minor location is not identifiable).
     """
     return _fit(_frame(sample, ccfg), cfg or FitConfig())
 
@@ -317,20 +439,30 @@ def _fit(frame: _Frame, cfg: FitConfig) -> FitResult:
     """`fit` in a frame built by `_frame` (of at least 10 observations)."""
     box, ccfg, ev, m = cfg.box, frame.ccfg, frame.ev, frame.m
     sep, edge = _merge_sep(box, frame.scale), 1e-3 * (box.p_high - box.p_low)
-    # (objective, theta, converged) of every descent that neither pins p
-    # within `edge` of the box nor merges the locations
-    valid = []
-    for start in _start_points(frame.quantiles, cfg):
-        res = _descend(ev, start, cfg)
-        p, a, b = (float(v) for v in res.x)
-        if not (p <= box.p_low + edge or p >= box.p_high - edge or abs(a - b) < sep):
-            # an ABNORMAL line search at the rounding floor is a finished
-            # descent; only running out of iterations is not
-            valid.append((float(res.fun), (p, a, b), res.status != 1))
+
+    def kept(descents):
+        """(objective, theta, converged) of every descent that neither pins p
+        within `edge` of the box nor merges the locations."""
+        out = []
+        for res in descents:
+            p, a, b = (float(v) for v in res.x)
+            if not (p <= box.p_low + edge or p >= box.p_high - edge or abs(a - b) < sep):
+                # an ABNORMAL line search at the rounding floor is a finished
+                # descent; only running out of iterations is not
+                out.append((float(res.fun), (p, a, b), res.status != 1))
+        return out
+
+    descents = _descend_all(ev, _start_points(frame.quantiles, cfg), box)
+    valid = kept(descents)
+    if not valid:
+        # every start collapsed: the screen's descents decide, and one counts
+        # only if it is kept and lower than every start's
+        floor = min(res.fun for res in descents)
+        valid = [v for v in kept(_descend_all(ev, _screen(frame, box, sep), box)) if v[0] < floor]
     if not valid:
         raise DegenerateFit(
-            "all optimization paths collapsed to the parameter boundary; "
-            "the sample looks effectively one-component")
+            "all optimization paths collapsed to the parameter boundary, the screen's "
+            "too; the sample looks effectively one-component")
     # smallest objective wins; ties broken by canonical lexicographic order
     valid.sort(key=lambda e: e[:2])
     ref = np.array(valid[0][1])
@@ -522,7 +654,7 @@ def leave_one_out_thetas(sample: Sample, theta_hat: EuclideanParam,
     batched Newton solve on node sums downdated from a single full-sample
     evaluator (see `_newton_refits`).  A refit that `_newton` refuses (it
     does not converge, meets a Hessian that is not positive definite, or
-    ends outside the p-box) is redone by `_descend` on the rebuilt
+    ends outside the p-box) is redone by `_descend_all` on the rebuilt
     evaluator of the reduced sample.  A refit whose locations merge, by the
     fit's rule (`_merge_sep` at the full sample's scale), returns theta_hat.
     Raises SampleTooSmall below 10 observations, as `fit` does.
@@ -538,7 +670,7 @@ def leave_one_out_thetas(sample: Sample, theta_hat: EuclideanParam,
         if not ok[k]:
             reduced = Sample(np.delete(frame.centred.values, k))
             ev = ContrastEvaluator(reduced, frame.ccfg, _smoothing(reduced.n, scales[k]))
-            thetas[k] = _descend(ev, start, cfg).x
+            thetas[k] = _descend_all(ev, [start], cfg.box)[0].x
         p, a, b = (float(v) for v in thetas[k])
         out.append(theta_hat if abs(a - b) < sep else _shift(EuclideanParam(p, a, b), frame.m))
     return out

@@ -14,7 +14,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .contrast import _cpus
 from .errors import SymmixError
@@ -93,7 +92,13 @@ def _asym_means(lam: float) -> tuple[float, float]:
 
 def sample_noise(family: str, size: int, rng: np.random.Generator,
                  mix_lambda: float | None = None) -> np.ndarray:
-    """Draw `size` values of the component noise by inverse CDF."""
+    """Draw `size` values of the component noise by inverse CDF.
+
+    scipy.special is imported here and in `noise_cdf`, where it is used, so
+    `import symmix` does not load it.
+    """
+    from scipy.special import ndtri
+
     un = rng.random(size)
     if family == "gauss":
         return ndtri(un)
@@ -111,6 +116,8 @@ def sample_noise(family: str, size: int, rng: np.random.Generator,
 
 def noise_cdf(family: str, x, mix_lambda: float | None = None) -> np.ndarray:
     """Analytic CDF of the component noise (distribution-level sampler checks)."""
+    from scipy.special import ndtr
+
     x = np.asarray(x, dtype=float)
     if family == "gauss":
         return ndtr(x)

@@ -50,10 +50,12 @@ class WeightRule:
     """Quadrature realization of a weight measure: sum_q weights[q] phi(nodes[q]).
 
     Any W the estimator allows can be given directly, as
-    WeightRule(label, cutoff, nodes, weights): nodes and weights must be
-    1-d arrays of equal, nonzero length with finite entries, the weights
-    nonnegative and the third absolute moment sum_q weights[q] |nodes[q]|^3
-    finite.  Anything else raises BadWeightSpec.
+    WeightRule(label, cutoff, nodes, weights): the cutoff, which a fit
+    writes into its manifest, must be finite and positive, and nodes and
+    weights must be 1-d arrays of equal, nonzero length with finite
+    entries, the weights nonnegative and the third absolute moment
+    sum_q weights[q] |nodes[q]|^3 finite.  Anything else raises
+    BadWeightSpec.
     """
 
     density_id: str
@@ -62,6 +64,8 @@ class WeightRule:
     weights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        if not (math.isfinite(self.cutoff) and self.cutoff > 0.0):
+            raise BadWeightSpec(f"cutoff must be finite and positive, got {self.cutoff!r}")
         nodes = np.asarray(self.nodes, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
         if nodes.shape != weights.shape or nodes.ndim != 1 or nodes.size == 0:
@@ -109,9 +113,11 @@ def build_weight_rule(node_count: int = _NODE_COUNT, cutoff: float = 30.0) -> We
     """The default rule: the exponential weight exp(-|u|)/2 on [-cutoff, cutoff].
 
     Composite Gauss-Legendre with the density folded into the weights;
-    node_count must be even and >= 16.  Any other weight measure is built
-    as a WeightRule directly.
+    node_count must be an even integer >= 16.  Any other weight measure is
+    built as a WeightRule directly.
     """
+    if not isinstance(node_count, (int, np.integer)):
+        raise TypeError(f"node_count must be an integer, got {node_count!r}")
     if node_count < 16 or node_count % 2 != 0:
         raise ValueError("node_count must be an even integer >= 16")
     if not math.isfinite(cutoff):

@@ -36,8 +36,11 @@ def rainfall():
 
 
 def test_n100_fits_evaluations_and_polishes(monkeypatch):
-    evals, hessians, newtons = [], [], []
-    counted(monkeypatch, ContrastEvaluator, "plugin_value_gradient", evals)
+    # an evaluation is a row of the batched value and gradient: the lock-step
+    # descents' rows, and one for the objective each fit reports
+    batches, hessians, newtons, screens = [], [], [], []
+    counted(monkeypatch, ContrastEvaluator, "_values_gradients", batches)
+    counted(monkeypatch, estimator, "_screen", screens)
     counted(monkeypatch, estimator, "_plugin_gradient_hessian", hessians)
     counted(monkeypatch, estimator, "_newton", newtons)
     degenerate = 0
@@ -49,10 +52,11 @@ def test_n100_fits_evaluations_and_polishes(monkeypatch):
             except symmix.DegenerateFit:
                 degenerate += 1
     refused = sum(int(np.count_nonzero(~ok)) for _, ok in newtons)
-    counts = {"degenerate": degenerate, "evaluations": len(evals), "hessians": len(hessians),
-              "polishes": len(newtons), "refused": refused}
+    counts = {"degenerate": degenerate, "evaluations": sum(map(len, batches)),
+              "hessians": len(hessians),
+              "polishes": len(newtons), "refused": refused, "screens": len(screens)}
     assert counts == {"degenerate": 0, "evaluations": 20_062, "hessians": 171,
-                      "polishes": 90, "refused": 0}
+                      "polishes": 90, "refused": 0, "screens": 0}
 
 
 def test_rainfall_default_rule_folds_onto_the_lattice(rainfall):

@@ -257,12 +257,12 @@ def test_fit_polish_guards(polish, monkeypatch):
     # past the starts' agreement tolerance leaves the descent's winner, bit
     # for bit; one that stays within the tolerance is the estimate
     from symmix import estimator
-    from symmix.estimator import _descend, _frame, _shift
+    from symmix.estimator import _descend_all, _frame, _shift
     from symmix.params import canonicalize
 
     sample, cfg = gauss_sample(100, seed=7), FitConfig()
     frame = _frame(sample)
-    descents = [_descend(frame.ev, start, cfg) for start in initial_points(frame.centred, cfg)]
+    descents = _descend_all(frame.ev, initial_points(frame.centred, cfg), cfg.box)
     winner = min(descents, key=lambda res: (res.fun, tuple(res.x))).x
     tol_agree = 1e-3 * max(1.0, np.max(np.abs(winner)))
     newton = estimator._newton
@@ -457,8 +457,10 @@ def test_leave_one_out_thetas_stay_close():
 
 def reference_leave_one_out(sample, theta_hat, cfg=FitConfig()):
     """The per-observation algorithm: rebuild the evaluator of each reduced
-    sample and run one L-BFGS-B descent from theta_hat."""
-    from symmix.estimator import _descend, _shift, _smoothing, robust_scale
+    sample and run one L-BFGS-B descent from theta_hat, by scipy's own driver."""
+    from scipy.optimize import minimize
+
+    from symmix.estimator import _MAX_ITER, _shift, _smoothing, robust_scale
 
     m = float(np.median(sample.values))
     centred = sample.values - m
@@ -470,7 +472,11 @@ def reference_leave_one_out(sample, theta_hat, cfg=FitConfig()):
     for k in range(sample.n):
         reduced = Sample(np.delete(centred, k))
         ev = ContrastEvaluator(reduced, ccfg, _smoothing(reduced.n, robust_scale(reduced.values)))
-        p, a, b = (float(v) for v in _descend(ev, start, cfg).x)
+        res = minimize(lambda z: ev.plugin_value_gradient(EuclideanParam(*z)), start.as_array(),
+                       jac=True, method="L-BFGS-B",
+                       bounds=[(cfg.box.p_low, cfg.box.p_high), (None, None), (None, None)],
+                       options=dict(maxiter=_MAX_ITER, ftol=1e-16, gtol=1e-12))
+        p, a, b = (float(v) for v in res.x)
         out.append(theta_hat if abs(a - b) < sep else _shift(EuclideanParam(p, a, b), m))
     return out
 
@@ -646,3 +652,161 @@ def test_frame_order_statistics_from_one_sort_equal_unsorted_ones():
             assert frame.scale == robust_scale(centred), name
             assert np.array_equal(frame.quantiles, np.quantile(centred, _START_QUANTILES)), name
             assert _start_points(frame.quantiles, cfg) == want_starts, name
+
+
+# ------------------------------------------------------------ lock-step descents
+
+
+N100_ROWS = [("gauss", THETA0), ("cauchy", EuclideanParam(0.2, 1.0, 5.0)), ("laplace", THETA0)]
+
+
+def test_lockstep_descents_equal_scipy_minimize_bit_for_bit():
+    # every start of the 90 seed-7 n = 100 fits, descended in lock-step and
+    # one by one through scipy's own L-BFGS-B driver with the fit's options;
+    # gauss replication 63 and cauchy replication 30 add a start each that
+    # stops on an ABNORMAL line search at the rounding floor (status 2)
+    from scipy.optimize import minimize
+
+    from symmix.estimator import _MAX_ITER, _descend_all, _frame
+
+    cfg = FitConfig()
+    box = cfg.box
+    bounds = [(box.p_low, box.p_high), (None, None), (None, None)]
+    options = dict(maxiter=_MAX_ITER, ftol=1e-16, gtol=1e-12)
+    statuses = []
+    cases = [(row, r) for row in N100_ROWS for r in range(30)]
+    for (family, theta0), r in cases + [(N100_ROWS[0], 63), (N100_ROWS[1], 30)]:
+        frame = _frame(sample_mixture(ScenarioSpec(family, theta0, 100, 1, 7), r))
+        ev, starts = frame.ev, initial_points(frame.centred, cfg)
+        runs = _descend_all(ev, starts, box)
+        assert len(runs) == len(starts) == 8
+        for start, run in zip(starts, runs):
+            ref = minimize(lambda z: ev.plugin_value_gradient(EuclideanParam(*z)),
+                           start.as_array(), jac=True, method="L-BFGS-B", bounds=bounds,
+                           options=options)
+            assert np.array_equal(run.x, ref.x)
+            assert type(run.fun) is type(ref.fun) and run.fun == ref.fun
+            assert (run.nfev, run.nit, run.status) == (ref.nfev, ref.nit, ref.status)
+            statuses.append(run.status)
+    assert statuses.count(0) == 734 and statuses.count(2) == 2
+
+
+@pytest.mark.parametrize("limit, value", [("_MAX_ITER", 3), ("_LBFGSB_MAXFUN", 5)])
+def test_lockstep_descent_stops_at_its_limits(limit, value, monkeypatch):
+    # out of iterations or of evaluations, as minimize's maxiter and maxfun stop it
+    from scipy.optimize import minimize
+
+    from symmix import estimator
+
+    monkeypatch.setattr(estimator, limit, value)
+    frame = estimator._frame(gauss_sample(100, seed=7))
+    start = initial_points(frame.centred, FitConfig())[0]
+    (run,) = estimator._descend_all(frame.ev, [start], FitConfig().box)
+    ref = minimize(lambda z: frame.ev.plugin_value_gradient(EuclideanParam(*z)),
+                   start.as_array(), jac=True, method="L-BFGS-B",
+                   bounds=[(0.001, 0.499), (None, None), (None, None)],
+                   options=dict(maxiter=estimator._MAX_ITER, maxfun=estimator._LBFGSB_MAXFUN,
+                                ftol=1e-16, gtol=1e-12))
+    assert run.status == ref.status == 1 and run.nit == ref.nit < 500
+    assert np.array_equal(run.x, ref.x) and run.fun == ref.fun and run.nfev == ref.nfev
+
+
+def test_lbfgsb_routine_signature_is_pinned():
+    # the lock-step driver calls scipy's private L-BFGS-B routine with these
+    # 17 arguments, in this order (scipy >= 1.15)
+    from scipy.optimize._lbfgsb import setulb
+
+    assert setulb.__doc__.splitlines()[0] == (
+        "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)")
+
+
+def test_batched_values_equal_plugin_value_gradient_bit_for_bit():
+    from symmix.estimator import _frame
+
+    ev = _frame(gauss_sample(100, seed=7)).ev
+    rng = np.random.default_rng(3)
+    thetas = np.column_stack([rng.uniform(0.01, 0.49, 50), rng.normal(-1.0, 2.0, 50),
+                              rng.normal(2.0, 2.0, 50)])
+    batch = ev._values_gradients(thetas)
+    for theta, (value, grad) in zip(thetas, batch):
+        one_value, one_grad = ev.plugin_value_gradient(EuclideanParam(*theta))
+        assert value == one_value and np.array_equal(grad, one_grad)
+
+
+# ------------------------------------------- samples whose standard starts collapse
+
+
+SEED62 = ScenarioSpec("cauchy", EuclideanParam(0.2, 1.0, 5.0), 100, 1, 62)
+
+
+def standard_descents(sample):
+    """The fit's frame and its standard starts' descents."""
+    from symmix.estimator import _descend_all, _frame
+
+    cfg = FitConfig()
+    frame = _frame(sample)
+    return frame, _descend_all(frame.ev, initial_points(frame.centred, cfg), cfg.box)
+
+
+@pytest.mark.parametrize("replication, want", [
+    (213, (0.06115, 10.1165, 4.9932)),
+    (235, (0.02614, 6.9154, 4.6093)),
+])
+def test_screen_finds_valid_fit_below_every_start(replication, want, monkeypatch):
+    # every standard start of these samples ends at the p-box edge, but the
+    # screen finds a valid point where the objective is lower than at all of
+    # them, so the objective, not the start design, decides: a valid estimate
+    from symmix import estimator
+
+    sample = sample_mixture(SEED62, replication)
+    frame, descents = standard_descents(sample)
+    box = FitConfig().box
+    assert all(res.x[0] <= box.p_low + 1e-3 * (box.p_high - box.p_low) for res in descents)
+    screens, screen = [], estimator._screen
+    monkeypatch.setattr(estimator, "_screen", lambda *args: screens.append(args) or screen(*args))
+    res = fit(sample)
+    assert len(screens) == 1
+    theta = res.theta_hat
+    assert theta.in_box(box) and theta.p > 0.02
+    assert abs(theta.alpha - theta.beta) > 1.0
+    assert res.objective_at_opt < min(d.fun for d in descents)
+    assert res.converged
+    assert np.allclose(theta.as_array(), want, rtol=1e-3)
+
+
+def test_screen_keeps_one_component_verdict(monkeypatch):
+    # replication 126: the screen's lowest points descend to merged locations,
+    # so the sample stays one-component
+    from symmix import estimator
+
+    screens, screen = [], estimator._screen
+    monkeypatch.setattr(estimator, "_screen", lambda *args: screens.append(args) or screen(*args))
+    with pytest.raises(DegenerateFit, match="the screen's too"):
+        fit(sample_mixture(SEED62, 126))
+    assert len(screens) == 1
+
+
+def test_screen_points_are_lowest_on_its_grid():
+    from symmix.estimator import _SCREEN_PS, _frame, _merge_sep, _screen
+
+    sample = sample_mixture(SEED62, 213)
+    frame, box = _frame(sample), FitConfig().box
+    points = _screen(frame, box, _merge_sep(box, frame.scale))
+    assert len(points) == 4
+    q = np.quantile(frame.centred.values, (np.arange(25) + 0.5) / 25)
+    grid = [EuclideanParam(p, a, b) for p in _SCREEN_PS for a in q for b in q if a != b]
+    assert len(grid) == 4200
+    values = sorted(frame.ev.plugin(t) for t in grid)
+    assert [frame.ev.plugin(t) for t in points] == values[:4]
+
+
+def test_screen_of_tied_quantiles_is_empty_and_fit_degenerate():
+    # 99 equal values: the 25 quantiles tie, so the screen has no pair of
+    # locations to try and the sample stays one-component
+    from symmix.estimator import _frame, _merge_sep, _screen
+
+    sample = Sample(np.r_[np.zeros(99), 1.0])
+    frame, box = _frame(sample), FitConfig().box
+    assert _screen(frame, box, _merge_sep(box, frame.scale)) == []
+    with pytest.raises(DegenerateFit):
+        fit(sample)

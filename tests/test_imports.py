@@ -9,6 +9,8 @@ only the tests call is dead code, so only references in src/symmix count.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -114,3 +116,16 @@ def test_export_problem_is_found():
 def test_package_exports_each_name_once():
     assert len(symmix.__all__) == len(set(symmix.__all__))
     assert all(hasattr(symmix, name) for name in symmix.__all__)
+
+
+def test_import_loads_neither_scipy_optimize_nor_special(checkout_env):
+    # scipy.special is imported where samples are drawn and scipy.optimize by
+    # the first descent, which loads the L-BFGS-B routine
+    code = ("import sys, symmix, symmix.cli\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith(('scipy.optimize', 'scipy.special'))))\n"
+            "symmix.fit(symmix.Sample(symmix.cli.read_numeric_csv(symmix.cli.rainfall_path())))\n"
+            "print('scipy.optimize._lbfgsb' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=checkout_env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["[]", "True"]

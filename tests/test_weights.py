@@ -84,6 +84,24 @@ def test_weight_rule_rejects_invalid_measure(nodes, weights):
         WeightRule("custom", 1.0, nodes, weights)
 
 
+@pytest.mark.parametrize("cutoff", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_weight_rule_rejects_invalid_cutoff(cutoff):
+    # a fit copies the cutoff into its manifest, where NaN or inf is not JSON
+    with pytest.raises(BadWeightSpec, match="cutoff must be finite and positive"):
+        WeightRule("custom", cutoff, [-1.0, 1.0], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("node_count", [256.0, np.float64(64), "64"])
+def test_rule_builder_rejects_non_integer_node_count(node_count):
+    with pytest.raises(TypeError, match="node_count must be an integer"):
+        build_weight_rule(node_count)
+
+
+def test_rule_builder_takes_numpy_integer_node_count():
+    rule = build_weight_rule(np.int64(64), 10.0)
+    assert np.array_equal(rule.nodes, build_weight_rule(64, 10.0).nodes)
+
+
 def test_bad_specs():
     with pytest.raises(ValueError):
         build_weight_rule(node_count=8)

@@ -310,8 +310,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    sample, ccfg = _load(args)
     lo, hi, steps = args.range
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise CliInputError("range bounds must be finite")
+    if not np.isfinite(hi - lo):
+        raise CliInputError("range span must be finite")
+    sample, ccfg = _load(args)
     # scanned on the fit's own evaluator in the fit's frame, so the row at
     # theta_hat repeats the fit's contrast and objective
     frame = _frame(sample, ccfg)

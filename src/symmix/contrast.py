@@ -69,21 +69,26 @@ additions does not change, so the output is the same bit for bit at any
 thread count.
 
 Values, gradients and the sandwich covariance pieces all come from one
-derivative block (1/M, Mdot/M^2) on the nodes: V_n is the weighted sum of
-squares r^T W r of the residual r(u) = Im(ghat*(u)/M(theta, u)), its
-gradient is 2 J W r, and `ContrastEvaluator.information_and_score` returns
-the curvature 2 J W J^T and the score outer product for the sandwich.  The
-exact Hessian 2 J W J^T + 2 sum_q w_q r_q grad^2 r_q adds the second
-derivatives of 1/M (`_plugin_gradient_hessian`); it is computed apart from
-the value and gradient, on a batch of node sums, weights and parameters,
-for the Newton steps of the fit's polish and of the leave-one-out refits.
-`_block` takes each parameter's phases e^{iu alpha} and e^{iu beta} rather
-than its locations, so a caller that has them from the phase kernel, or
-shares one parameter across the batch, computes them once.
+helper, `_ratios`: from R = S/M and the ratios a = e^{iu alpha}/M and
+b = e^{iu beta}/M it gives the residual's node sums s_inv = Im R and the
+Jacobian's, s_c, whose rows Im(R (a - b)), u p Re(R a) and u (1-p) Re(R b)
+are one real array.  V_n is the weighted sum of squares r^T W r of the
+residual r = s_inv/n, and its gradient 2 J W r, with J = -s_c/n, is one
+expression, `_gradient`, for the search path and the Newton steps alike.
+`ContrastEvaluator.information_and_score` returns the curvature 2 J W J^T
+and the score outer product for the sandwich.  The exact Hessian
+2 J W J^T + 2 sum_q w_q r_q grad^2 r_q adds the second derivatives of 1/M
+(`_plugin_gradient_hessian`); it is computed apart from the value and
+gradient, on a batch of node sums, weights and parameters, for the Newton
+steps of the fit's polish and of the leave-one-out refits.  `_ratios` takes
+each parameter's phases e^{iu alpha} and e^{iu beta} rather than its
+locations, so a caller that has them from the phase kernel, or shares one
+parameter across the batch, computes them once.
 `ContrastEvaluator._values_gradients`, the search path of every fit, takes
-them from np.exp for a batch of parameters at once: they are O(Q) per
-evaluation, not n-sized, and one call serves every start of a fit's
-lock-step descents.
+them from the evaluator's lattice (`_features`) for a batch of parameters
+at once, and one call serves every start of a fit's lock-step descents: at
+n = 100, 8 rows cost about 60 us, where np.exp's phases and a complex
+(B, 3, Q) Jacobian block cost about 120.
 """
 
 from __future__ import annotations
@@ -224,7 +229,8 @@ def _phases(x: np.ndarray, c: np.ndarray, d: np.ndarray):
     """Centre and offset phases exp(i outer(x, c)) and exp(i outer(x, d)), (B, J) and (B, P).
 
     Both are stored node-major: each is the transpose of a C-contiguous
-    (J, B) or (P, B) array, whose `.T` the callers contract, so every
+    (J, B) or (P, B) block of one (J + P, B) array, computed in one pass
+    of a few ufunc calls, whose `.T` the callers contract, so every
     per-node operation runs along the observations.  Every entry takes one
     tangent of its own half angle and one division: t = tan(u x / 2),
     r = 2/(1 + t^2) in its own buffer, cos = r - 1 and sin = t r.  numpy's
@@ -238,18 +244,15 @@ def _phases(x: np.ndarray, c: np.ndarray, d: np.ndarray):
     tan, which can differ in the last bits.  e^{i u X_k} at node
     u = c[j] + d[p] is the product of entries (k, j) and (k, p).
     """
-    out = []
-    for nodes in (c, d):
-        t = np.multiply.outer(0.5 * nodes, x)
-        np.tan(t, out=t)
-        r = np.multiply(t, t)
-        r += 1.0
-        np.divide(2.0, r, out=r)
-        e = np.empty(t.shape, dtype=complex)
-        np.subtract(r, 1.0, out=e.real)
-        np.multiply(t, r, out=e.imag)
-        out.append(e.T)
-    return out
+    t = np.multiply.outer(0.5 * np.concatenate([c, d]), x)
+    np.tan(t, out=t)
+    r = np.multiply(t, t)
+    r += 1.0
+    np.divide(2.0, r, out=r)
+    e = np.empty(t.shape, dtype=complex)
+    np.subtract(r, 1.0, out=e.real)
+    np.multiply(t, r, out=e.imag)
+    return e[:c.size].T, e[c.size:].T
 
 
 def _panel_sums(coef: np.ndarray, c: np.ndarray, d: np.ndarray, y: np.ndarray, width: int):
@@ -300,34 +303,52 @@ def m_dot(theta: EuclideanParam, u: np.ndarray) -> np.ndarray:
     return np.stack([ea - eb, 1j * u * theta.p * ea, 1j * u * (1.0 - theta.p) * eb])
 
 
-def _im_sums(z: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """sum_k Im(z e^{iuX_k}) node-wise, from the node sums s = sum_k e^{iuX_k}."""
-    out = z.imag * s.real
-    out += z.real * s.imag
-    return out
-
-
-def _block(u, s, p, ea, eb):
-    """Derivative block (1/M, Mdot/M^2) on the nodes and its node sums, batched.
+def _ratios(u, s, p, ea, eb):
+    """1/M, R = S/M, a = e^{iu alpha}/M, b = e^{iu beta}/M and the Jacobian's node sums, batched.
 
     u has shape (Q,); s, of shape (..., Q), holds the node sums
-    sum_k e^{iuX_k}; p, a scalar or (..., 1), and the phases ea = e^{iu alpha}
+    S = sum_k e^{iuX_k}; p, a scalar or (..., 1), and the phases ea = e^{iu alpha}
     and eb = e^{iu beta}, (Q,) or (..., Q), hold a batch of parameters,
     which broadcasts against s: a batch of one serves every row of s.
-    Returns inv = 1/M and c = Mdot/M^2, of shapes (..., Q) and (..., 3, Q)
-    with the (p, alpha, beta) rows on the second-last axis,
-    s_inv = sum_k Im(inv e^{iuX_k}) and s_c = sum_k Im(c e^{iuX_k}) in s's
-    batch, then Mdot, which only the Hessian reads.
+    Mdot/M = (a - b, iu p a, iu (1-p) b), so the residual's node sums are
+    s_inv = sum_k Im(e^{iuX_k}/M) = Im R and the Jacobian's,
+    s_c = sum_k Im(e^{iuX_k} Mdot/M^2), has the rows
+    Im(R (a - b)) = Im(R a) - Im(R b), u p Re(R a) and u (1-p) Re(R b):
+    one real array of shape (..., 3, Q), and no complex array of that
+    shape is formed.  Returns inv, R, a, b and s_c.
     """
-    iu = 1j * u
     inv = 1.0 / (p * ea + (1.0 - p) * eb)
-    mdot = np.empty(inv.shape[:-1] + (3, u.size), dtype=complex)
-    np.subtract(ea, eb, out=mdot[..., 0, :])
-    np.multiply(iu * p, ea, out=mdot[..., 1, :])
-    np.multiply(iu * (1.0 - p), eb, out=mdot[..., 2, :])
-    c = mdot * (inv * inv)[..., None, :]
-    s_c = _im_sums(c, s[..., None, :])
-    return inv, c, _im_sums(inv, s), s_c, mdot
+    big_r = s * inv
+    a, b = ea * inv, eb * inv
+    ra, rb = big_r * a, big_r * b
+    s_c = np.empty(big_r.shape[:-1] + (3, u.size))
+    np.subtract(ra.imag, rb.imag, out=s_c[..., 0, :])
+    np.multiply(u * p, ra.real, out=s_c[..., 1, :])
+    np.multiply(u * (1.0 - p), rb.real, out=s_c[..., 2, :])
+    return inv, big_r, a, b, s_c
+
+
+def _gradient(w, s_inv, s_c, n):
+    """Residual r = s_inv/n, w r and the gradient 2 J W r = -2 s_c (w r)/n of V = r^T W r.
+
+    s_inv and s_c are `_ratios`' node sums over n observations, w the
+    weights; every row's sum over the nodes is its own np.matmul, so its
+    bits do not depend on the batch.  Returns r, w r and the gradient,
+    shape (..., 3).
+    """
+    r = s_inv / n
+    wr = w * r
+    return r, wr, (-2.0 / n) * np.matmul(s_c, wr[..., :, None])[..., 0]
+
+
+def _mdot_ratio(u, p, a, b):
+    """Mdot/M = (a - b, iu p a, iu (1-p) b) from `_ratios`' a and b, shape (..., 3, Q)."""
+    iu = 1j * u
+    out = np.empty(a.shape[:-1] + (3, u.size), dtype=complex)
+    np.subtract(a, b, out=out[..., 0, :])
+    np.multiply(iu * p, a, out=out[..., 1, :])
+    np.multiply(iu * (1.0 - p), b, out=out[..., 2, :])
+    return out
 
 
 def _plugin_gradient_hessian(u, w, s, n, p, ea, eb):
@@ -335,31 +356,32 @@ def _plugin_gradient_hessian(u, w, s, n, p, ea, eb):
 
     u has shape (Q,); w and s, of shape (..., Q), are the weights and the
     node sums sum_k e^{iuX_k} over n observations; p, ea = e^{iu alpha} and
-    eb = e^{iu beta} are parameters as `_block` takes them, so phases of
+    eb = e^{iu beta} are parameters as `_ratios` takes them, so phases of
     batch one serve every row.  Returns shapes (..., 3) and (..., 3, 3).
 
     With r = sum_k Im(e^{iuX_k}/M)/n and J = -sum_k Im(e^{iuX_k} Mdot/M^2)/n
-    from `_block`, the gradient is 2 J W r and the Hessian
-    2 J W J^T + 2 sum_q w_q r_q H_q, where
-    H = sum_k Im(e^{iuX_k} (2 Mdot Mdot^T/M^3 - Mddot/M^2))/n.  That is two
-    contractions over the nodes, 2 (J o w) J^T and Im((Mdot o k) Mdot^T)
-    with k = 4 w r S/(n M^3), less the four nonzero entries of Mddot:
-    d2M/dp dalpha = iu e^{iu alpha}, d2M/dp dbeta = -iu e^{iu beta},
-    d2M/dalpha^2 = iu Mdot_alpha and d2M/dbeta^2 = iu Mdot_beta, each
-    contracted with t = 2 iu w r S/(n M^2).
+    from `_ratios`, the gradient is 2 J W r, by `_gradient` as the search
+    path computes it, and the Hessian 2 J W J^T + 2 sum_q w_q r_q H_q, where
+    H = sum_k Im(e^{iuX_k} (2 Mdot Mdot^T/M^3 - Mddot/M^2))/n.  With
+    R = S/M, that is two contractions over the nodes, 2 (J o w) J^T and
+    Im((m o k) m^T) with m = Mdot/M and k = 4 w r R/n, less the four
+    nonzero entries of Mddot: d2M/dp dalpha = iu e^{iu alpha},
+    d2M/dp dbeta = -iu e^{iu beta}, d2M/dalpha^2 = iu Mdot_alpha and
+    d2M/dbeta^2 = iu Mdot_beta, each over M and contracted with
+    t = 2 iu w r R/n.
     """
-    inv, c, s_inv, s_c, mdot = _block(u, s, p, ea, eb)
-    del c                    # read only through s_c: 6 reals per row and node freed
-    wr = w * (s_inv / n)
-    t = s * (wr / n) * (inv * inv)
-    k = 4.0 * t * inv
-    t *= 2j * u
-    # J = -s_c / n, so 2 (J o w) J^T = 2 (s_c o w / n^2) s_c^T and 2 J W r = -2 s_c W r / n
+    big_r, a, b, s_c = _ratios(u, s, p, ea, eb)[1:]
+    wr, grad = _gradient(w, big_r.imag, s_c, n)[1:]
+    m = _mdot_ratio(u, p, a, b)
+    del b                    # read only through m: 2 reals per row and node freed
+    t = np.multiply(big_r, wr / n, out=big_r)
+    # J = -s_c / n, so 2 (J o w) J^T = 2 (s_c o w / n^2) s_c^T
     hess = 2.0 * np.matmul(s_c * (w / (n * n))[..., None, :], s_c.swapaxes(-1, -2))
-    hess += np.matmul(mdot * k[..., None, :], mdot.swapaxes(-1, -2)).imag
-    # sum_q t Mdot_q, and sum_q t e^{iu alpha}; sum_q t e^{iu beta} is their difference
-    tm = np.matmul(mdot, t[..., :, None])[..., 0].imag
-    ta = np.matmul(ea[..., None, :], t[..., :, None])[..., 0, 0].imag
+    hess += 4.0 * np.matmul(m * t[..., None, :], m.swapaxes(-1, -2)).imag
+    t *= 2j * u
+    # sum_q t m_q, and sum_q t a; sum_q t b is their difference
+    tm = np.matmul(m, t[..., :, None])[..., 0].imag
+    ta = np.matmul(a[..., None, :], t[..., :, None])[..., 0, 0].imag
     hess[..., 0, 1] -= ta
     hess[..., 0, 2] += ta - tm[..., 0]
     hess[..., 1, 1] -= tm[..., 1]
@@ -367,7 +389,7 @@ def _plugin_gradient_hessian(u, w, s, n, p, ea, eb):
     # the upper triangle is mirrored, so the Hessian is symmetric bit for bit
     i, j = _TRIU
     hess[..., j, i] = hess[..., i, j]
-    return (-2.0 / n) * np.matmul(s_c, wr[..., :, None])[..., 0], hess
+    return grad, hess
 
 
 def z_score(theta: EuclideanParam, u, x) -> np.ndarray:
@@ -403,9 +425,9 @@ class ContrastEvaluator:
     with C and O a block's centre and offset phases on the nodes' panel
     lattice (see `_lattice` and `_phases`): O(Q) numbers, nothing of size n.
     Every value, gradient and sandwich piece starts from the module's one
-    helper `_block`, which returns the derivative block (1/M, Mdot/M^2) of
-    shape (Q,) and (3, Q) and its node sums sum_k Im(z e^{iuX_k}) =
-    Im z * Re S + Re z * Im S; S2 gives the pair statistic's diagonal.
+    helper `_ratios`, which returns 1/M, R = S/M and the node sums
+    sum_k Im(e^{iuX_k}/M) = Im R and sum_k Im(e^{iuX_k} Mdot/M^2) of shape
+    (Q,) and (3, Q); S2 gives the pair statistic's diagonal.
     `plugin` is the value of `plugin_value_gradient`.  In least-squares form
     the plug-in objective is V_n = r^T W r with residual
     r = sum_k Im(e^{iuX_k}/M)/n and Jacobian J = -sum_k Im(e^{iuX_k} Mdot/M^2)/n;
@@ -444,13 +466,14 @@ class ContrastEvaluator:
         """e^{iuX_k} on the folded nodes for a block of observations x, shape (B, Q)."""
         cen, off = _phases(x, self._c, self._d)
         e = np.multiply(cen[:, :, None], off[:, None, :], order="C")
-        return e.reshape(len(x), -1)[:, :self.u.size]
+        return e.reshape(len(x), self._c.size * self._d.size)[:, :self.u.size]
 
     def _block(self, theta: EuclideanParam):
-        """The module's `_block` on this sample's node sums: inv, c, s_inv, s_c."""
+        """1/M, Mdot/M^2 and the node sums s_inv and s_c at theta (`_ratios`), phases by np.exp."""
         u = self.u
-        return _block(u, self._s, theta.p, np.exp(1j * u * theta.alpha),
-                      np.exp(1j * u * theta.beta))[:4]
+        inv, big_r, a, b, s_c = _ratios(u, self._s, theta.p, np.exp(1j * u * theta.alpha),
+                                        np.exp(1j * u * theta.beta))
+        return inv, _mdot_ratio(u, theta.p, a, b) * inv, big_r.imag, s_c
 
     def _smoothed_weights(self, b) -> np.ndarray:
         """The folded rule weights times the smoothing factor exp(-(b u)^2) of bandwidth b.
@@ -487,18 +510,21 @@ class ContrastEvaluator:
     def _values_gradients(self, thetas: np.ndarray) -> list:
         """`plugin_value_gradient` of every row (p, alpha, beta) of thetas, shape (B, 3).
 
-        One `_block` call serves the batch, and each row is reduced on its
-        own, so a row's value and gradient are its batch of one's, bit for
-        bit: the fit's lock-step descents (`estimator._descend_all`) take
-        the same steps as one descent per start.
+        The phases e^{iu alpha} and e^{iu beta} of every row come from the
+        evaluator's phase kernel (`_features`), and one `_ratios` call on
+        the batch gives the residual's and the Jacobian's node sums, all
+        real.  Each row's value r^T W r and gradient (`_gradient`) are its
+        own np.matmul over the nodes, so a row's value and gradient are its
+        batch of one's, bit for bit: the fit's lock-step descents
+        (`estimator._descend_all`) take the same steps as one descent per
+        start.  An empty batch gives [].
         """
-        u = self.u
-        iu = 1j * u
-        _, _, s_inv, s_c, _ = _block(u, self._s, thetas[:, :1], np.exp(iu * thetas[:, 1:2]),
-                                     np.exp(iu * thetas[:, 2:]))
-        r, jac = s_inv / self.n, -s_c / self.n
-        wr = self.w * r
-        return [(float(np.dot(r[i], wr[i])), 2.0 * jac[i] @ wr[i]) for i in range(len(thetas))]
+        q = self.u.size
+        ea, eb = self._features(thetas[:, 1:].T.ravel()).reshape(2, len(thetas), q)
+        _, big_r, _, _, s_c = _ratios(self.u, self._s, thetas[:, :1], ea, eb)
+        r, wr, grad = _gradient(self.w, big_r.imag, s_c, self.n)
+        values = np.matmul(r[:, None, :], wr[:, :, None])[:, 0, 0]
+        return list(zip(values.tolist(), grad))
 
     def information_and_score(self, theta: EuclideanParam, x: np.ndarray):
         """Sandwich pieces (info, v_hat) of the plug-in contrast at theta, each (3, 3).

@@ -317,9 +317,9 @@ class _Descent:
     routine, `status` 0 on convergence, 1 when the iterations or
     evaluations ran out and 2 for any other stop (an ABNORMAL line search
     at the rounding floor).
-    `at` and `value` are the point last evaluated and its value and
-    gradient; they start at x0, as scipy's ScalarFunction evaluates there
-    before the routine starts.
+    `at` and `value` are the point last evaluated, as a list, and its value
+    and gradient; they start at x0, as scipy's ScalarFunction evaluates
+    there before the routine starts.
     """
 
     __slots__ = ("x", "fun", "g", "nfev", "nit", "at", "value", "_work")
@@ -328,7 +328,7 @@ class _Descent:
         n, m = x0.size, _LBFGSB_M
         self.x, self.fun, self.g = x0.copy(), np.array(0.0), np.zeros(n)
         self.nfev, self.nit = 1, 0
-        self.at, self.value = x0.copy(), value
+        self.at, self.value = x0.tolist(), value
         # wa, iwa, task, lsave, isave, dsave, maxls and ln_task, sized as scipy sizes them
         self._work = (np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m), np.zeros(3 * n, np.int32),
                       np.zeros(2, np.int32), np.zeros(4, np.int32), np.zeros(44, np.int32),
@@ -382,10 +382,10 @@ def _descend_all(ev: ContrastEvaluator, starts, box: ParamBox) -> list[_Descent]
     live = runs
     while live:
         live = [run for run in live if run.advance(setulb, bounds)]
-        new = [run for run in live if not (run.x == run.at).all()]
+        new = [run for run in live if run.x.tolist() != run.at]
         if new:
             for run, value in zip(new, ev._values_gradients(np.array([run.x for run in new]))):
-                run.at, run.value, run.nfev = run.x.copy(), value, run.nfev + 1
+                run.at, run.value, run.nfev = run.x.tolist(), value, run.nfev + 1
         for run in live:
             # the routine may write into g, so it gets a copy of the kept gradient
             run.fun, g = run.value
@@ -639,8 +639,8 @@ def _newton_refits(frame: _Frame, scales: np.ndarray, start: EuclideanParam, box
     def block(blk):
         return _newton(ev, ev._s - ev._features(x[blk]),
                        ev._smoothed_weights(_smoothing(n - 1, scales[blk])), n - 1, start, box)
-    # the Hessian's arrays peak at about 24 reals per refit and node (tracemalloc,
-    # Q = 128 and 2,048), 17 in the shared first step
+    # the Hessian's arrays peak at 20-22 reals per refit and node (tracemalloc,
+    # Q = 2,048 and 128), 12-16 in the shared first step
     thetas, ok = zip(*_map_blocks(block, n, 24 * ev.u.size))
     return np.concatenate(thetas), np.concatenate(ok)
 

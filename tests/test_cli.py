@@ -342,6 +342,10 @@ EMPTY_WINDOW = "truncation window |u| <= 1/trunc_h holds no weight-rule node"
     (["density", "RAIN", "--grid=-1e308:1e308:16"], "grid span must be finite"),
     (["density", "RAIN", "--grid=0:1e308:16"],
      "grid phases overflow: max(|x_min|, |x_max|) * u_max is not finite"),
+    (["scan", "RAIN", "--param", "beta", "--range=nan:0:3"], "range bounds must be finite"),
+    (["scan", "RAIN", "--param", "beta", "--range=0:inf:3"], "range bounds must be finite"),
+    (["scan", "RAIN", "--param", "beta", "--range=-1e308:1e308:3"],
+     "range span must be finite"),
     (["fit", "RAIN", "--trunc-h", "1e6"], EMPTY_WINDOW),
     (["fit", "RAIN", "--cutoff", "1e300"], EMPTY_WINDOW),
     (["density", "RAIN", "--cutoff", "1e300"], EMPTY_WINDOW),
@@ -356,6 +360,7 @@ EMPTY_WINDOW = "truncation window |u| <= 1/trunc_h holds no weight-rule node"
 ], ids=["fit-starts", "simulate-starts", "weight-nodes", "cutoff", "trunc-h", "bandwidth",
         "grid", "constant", "constant-cutoff", "jobs", "cutoff-inf", "trunc-h-inf",
         "bandwidth-inf", "grid-hi-inf", "grid-lo-inf", "grid-span-inf", "grid-phase-inf",
+        "range-nan", "range-hi-inf", "range-span-inf",
         "trunc-h-empty", "cutoff-empty", "density-cutoff-empty", "scan-trunc-h-empty",
         "starts-above-design", "density-theta-starts", "cutoff-zero", "mix-lambda"])
 def test_invalid_flag_values_exit_2(rainfall, tmp_path, capsys, argv, message):

@@ -216,6 +216,62 @@ def test_plugin_gradient_matches_finite_differences():
     assert np.max(np.abs(grad - fd) / np.abs(fd)) <= 1e-6
 
 
+def literal_value_gradient(ev, theta):
+    """r^T W r and 2 J W r from r = Im(S/M)/n and J = -Im(S Mdot/M^2)/n, phases by np.exp."""
+    u, s, n = ev.u, ev._s, ev.n
+    m = m_func(theta, u)
+    r = (s / m).imag / n
+    jac = -(s * m_dot(theta, u) / (m * m)).imag / n
+    return r @ (ev.w * r), 2.0 * jac @ (ev.w * r)
+
+
+def assert_close_to_literal(ev, thetas):
+    for theta, (value, grad) in zip(thetas, ev._values_gradients(thetas)):
+        want_value, want_grad = literal_value_gradient(ev, EuclideanParam(*theta))
+        assert abs(value - want_value) <= 1e-12 * want_value
+        assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+
+
+@pytest.mark.parametrize("rule, panels", [(RULE, (16, 8)), (build_weight_rule(250, 30.0), (1, 125))],
+                         ids=["lattice", "one-panel"])
+def test_batched_values_equal_literal_residual_and_jacobian(rule, panels, monkeypatch):
+    # the kernel's R = S/M and ratios e^{iu alpha}/M, e^{iu beta}/M against the
+    # literal r and J, with p at both box edges and at random, |alpha|, |beta| <= 50
+    ev = ContrastEvaluator(gauss_sample(100), ContrastConfig(rule, trunc_h=1.0 / 30.0))
+    assert (ev._c.size, ev._d.size) == panels
+    rng = np.random.default_rng(11)
+    k = 100
+    ps = np.concatenate([np.full(k, 0.001), np.full(k, 0.499), rng.uniform(0.001, 0.499, k)])
+    thetas = np.column_stack([ps, rng.uniform(-50.0, 50.0, 3 * k), rng.uniform(-50.0, 50.0, 3 * k)])
+    # with the phase kernel's own e^{iu alpha} where |M| >= 0.998: its phases
+    # differ from np.exp's by up to about 1e-16 |u alpha| (2e-13 at |u alpha| =
+    # 1,500), and 1/M scales that by up to 1/(1 - 2p), 500 at p = 0.499
+    assert_close_to_literal(ev, thetas[:k])
+    # with np.exp's phases on both sides, everywhere in the box
+    monkeypatch.setattr(ev, "_features", lambda x: np.exp(1j * np.multiply.outer(x, ev.u)))
+    assert_close_to_literal(ev, thetas)
+
+
+def test_hessian_gradient_is_the_batched_gradient_bit_for_bit():
+    # both take the gradient from one expression on the same node sums
+    ev = ContrastEvaluator(gauss_sample(100), CFG)
+    rng = np.random.default_rng(5)
+    thetas = np.column_stack([rng.uniform(0.01, 0.49, 20), rng.normal(-1.0, 2.0, 20),
+                              rng.normal(2.0, 2.0, 20)])
+    ea, eb = ev._features(thetas[:, 1:].T.ravel()).reshape(2, len(thetas), -1)
+    grad, _ = contrast._plugin_gradient_hessian(ev.u, np.tile(ev.w, (len(thetas), 1)),
+                                                np.tile(ev._s, (len(thetas), 1)), ev.n,
+                                                thetas[:, :1], ea, eb)
+    for row, (_, want) in zip(grad, ev._values_gradients(thetas)):
+        assert np.array_equal(row, want)
+
+
+def test_empty_batch_gives_no_values():
+    # the screen of a sample whose quantiles all tie has no points to descend from
+    ev = ContrastEvaluator(gauss_sample(100), CFG)
+    assert ev._values_gradients(np.empty((0, 3))) == []
+
+
 def test_gradient_swap_transformation():
     sample = gauss_sample(40)
     g = contrast_gradient(sample, THETA0, CFG)
@@ -529,10 +585,17 @@ def exp_phases(u, theta):
     return np.full((1, 1), theta.p), ea, eb
 
 
+def feature_phases(ev, theta):
+    """p, e^{iu alpha} and e^{iu beta} of one parameter as a batch of one, phases by the
+    evaluator's phase kernel, as `plugin_value_gradient` and the Newton steps take them."""
+    ea, eb = ev._features(np.array([theta.alpha, theta.beta]))[:, None]
+    return np.full((1, 1), theta.p), ea, eb
+
+
 def evaluator_hessian(ev, theta):
     """Gradient and exact Hessian of the evaluator's plug-in contrast, a batch of one."""
     grad, hess = contrast._plugin_gradient_hessian(ev.u, ev.w[None], ev._s[None], ev.n,
-                                                   *exp_phases(ev.u, theta))
+                                                   *feature_phases(ev, theta))
     return grad[0], hess[0]
 
 

@@ -238,6 +238,15 @@ def cmd_fit(args) -> int:
     return 0
 
 
+def _csv_rows(*columns) -> list[str]:
+    """One line per row of the float columns, each value its shortest round-trip repr.
+
+    The columns are read as Python floats (`tolist`), whose repr is that of
+    the same float64 value, so no numpy scalar is made per value.
+    """
+    return [",".join(map(repr, row)) for row in zip(*(np.asarray(c).tolist() for c in columns))]
+
+
 def cmd_density(args) -> int:
     sample, ccfg = _load(args)
     bandwidth = args.bandwidth if args.bandwidth is not None else default_bandwidth(sample.n)
@@ -253,11 +262,8 @@ def cmd_density(args) -> int:
     fa, fb = np.split(deconvolved_density_values(sample, theta, bandwidth, shifted), 2)
     recon = theta.p * fa + (1.0 - theta.p) * fb
 
-    lines = ["x,f_raw,f_tilde,g_n,g_reconstructed"]
-    for i in range(curve.xs.size):
-        lines.append(",".join(repr(float(v)) for v in
-                              (curve.xs[i], curve.f_raw[i], curve.f_tilde[i],
-                               g_curve.values[i], recon[i])))
+    lines = ["x,f_raw,f_tilde,g_n,g_reconstructed",
+             *_csv_rows(curve.xs, curve.f_raw, curve.f_tilde, g_curve.values, recon)]
     config = _config_echo(args, sample, ccfg, bandwidth=bandwidth,
                           grid=list(args.grid) if args.grid else None, theta=asdict(theta))
     _emit(args.out, "\n".join(lines) + "\n",
@@ -322,13 +328,13 @@ def cmd_scan(args) -> int:
     theta = _fit(frame, FitConfig(starts=args.starts)).theta_hat
 
     lines = [f"{args.param},contrast,objective"]
-    for v in np.linspace(lo, hi, steps):
+    for v in np.linspace(lo, hi, steps).tolist():
         try:
-            th = _shift(replace(theta, **{args.param: float(v)}), -frame.m)
+            th = _shift(replace(theta, **{args.param: v}), -frame.m)
         except DegenerateParam:
-            lines.append(f"{float(v)!r},,")
+            lines.append(f"{v!r},,")
             continue
-        lines.append(f"{float(v)!r},{frame.ev.u_statistic(th)!r},{frame.ev.plugin(th)!r}")
+        lines.append(f"{v!r},{frame.ev.u_statistic(th)!r},{frame.ev.plugin(th)!r}")
 
     config = _config_echo(args, sample, ccfg, param=args.param, range=[lo, hi, steps],
                           theta_hat=asdict(theta))

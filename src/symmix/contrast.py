@@ -49,10 +49,10 @@ angle and one division, t = tan(uX/2), r = 2/(1 + t^2), cos = r - 1 and
 sin = t r, within 4.5e-16 of cos and sin.  The phases are stored
 node-major, a row of a block's observations per centre and per offset, so
 every per-node step runs along the observations: the node sums are matrix
-products over them.  The way back, sum_u coef(u) e^{iuy} at points y, is
-the panel transform `_panel_sums`, shared with the density: one matrix
+products over them.  The way back, sum_u Im(coef(u) e^{iuy}) at points y,
+is the panel transform `_panel_sums`, shared with the density: one matrix
 product over the offsets, then one broadcast multiply and sum over the
-centres.
+centres, of the imaginary part only.
 The score pass recomputes the phases the evaluator's pass computed rather
 than keep them: 384 B per observation (19 MB at n = 50,000) against the
 evaluator's O(Q) numbers.
@@ -68,27 +68,36 @@ rule) runs its blocks on up to _MAX_WORKERS usable CPUs; the order of the
 additions does not change, so the output is the same bit for bit at any
 thread count.
 
-Values, gradients and the sandwich covariance pieces all come from one
-helper, `_ratios`: from R = S/M and the ratios a = e^{iu alpha}/M and
-b = e^{iu beta}/M it gives the residual's node sums s_inv = Im R and the
-Jacobian's, s_c, whose rows Im(R (a - b)), u p Re(R a) and u (1-p) Re(R b)
-are one real array.  V_n is the weighted sum of squares r^T W r of the
-residual r = s_inv/n, and its gradient 2 J W r, with J = -s_c/n, is one
-expression, `_gradient`, for the search path and the Newton steps alike.
+Values, gradients, the Hessian and the sandwich covariance pieces all
+start from one helper, `_ratios`.  Since p a + (1-p) b = 1 for the ratios
+a = e^{iu alpha}/M and b = e^{iu beta}/M, G = a - b gives a = 1 + (1-p) G
+and b = 1 - p G, so the residual's node sums Im R and the Jacobian's,
+-n J = Im(R Mdot/M) with rows Im(R G), u p (Re R + (1-p) Re R G) and
+u (1-p) (Re R - p Re R G), are all combinations of R = S/M and R G, which
+`_ratios` returns in one (2, ..., Q) buffer.  V_n = r^T W r with
+r = Im R/n and its gradient 2 J W r are four node dots per row,
+<w Im R, Im R>, <w Im R, Im R G>, <u w Im R, Re R> and <u w Im R, Re R G>,
+one real np.matmul over the buffer's float view (`_value_gradient`), the
+one expression for the search path and the Newton steps alike; no
+(B, 3, Q) Jacobian array is formed there.
 `ContrastEvaluator.information_and_score` returns the curvature 2 J W J^T
-and the score outer product for the sandwich.  The exact Hessian
+and the score outer product for the sandwich, from the same R and the
+ratio Mdot/M (`_mdot_ratio`).  The exact Hessian
 2 J W J^T + 2 sum_q w_q r_q grad^2 r_q adds the second derivatives of 1/M
 (`_plugin_gradient_hessian`); it is computed apart from the value and
 gradient, on a batch of node sums, weights and parameters, for the Newton
 steps of the fit's polish and of the leave-one-out refits.  `_ratios` takes
 each parameter's phases e^{iu alpha} and e^{iu beta} rather than its
-locations, so a caller that has them from the phase kernel, or shares one
-parameter across the batch, computes them once.
-`ContrastEvaluator._values_gradients`, the search path of every fit, takes
-them from the evaluator's lattice (`_features`) for a batch of parameters
-at once, and one call serves every start of a fit's lock-step descents: at
-n = 100, 8 rows cost about 60 us, where np.exp's phases and a complex
-(B, 3, Q) Jacobian block cost about 120.
+locations, so a caller that has them, or shares one parameter across the
+batch, computes them once.  `ContrastEvaluator._values_gradients`, the
+search path of every fit, takes them for a batch of parameters at once
+from the evaluator's lattice (`_features`: numpy's cos and sin of the
+J + P lattice angles per location, which round less than `_phases`'
+tangents and cost no more for a few locations, so the descents stop
+sooner at the rounding floor), and one call serves every start of a fit's
+lock-step descents: at n = 100, 8 rows cost about 60 us and one row
+about 32, where the (B, 3, Q) Jacobian array and tangent phases cost
+about 66 and 38 (interleaved in one process on a 2-vCPU machine).
 """
 
 from __future__ import annotations
@@ -256,17 +265,22 @@ def _phases(x: np.ndarray, c: np.ndarray, d: np.ndarray):
 
 
 def _panel_sums(coef: np.ndarray, c: np.ndarray, d: np.ndarray, y: np.ndarray, width: int):
-    """sum_u coef[r, u] e^{iuy} on the lattice u = c_j + d_p, one (R, B) array per block of y.
+    """sum_u Im(coef[r, u] e^{iuy}) on the lattice u = c_j + d_p, one real (R, B) array per block of y.
 
     coef (R, q) holds coefficients on the first q nodes, zero-padded to R
     rows of J panels of P; a point costs J + P phases (`_phases`) and
     no (B, q) array is formed.  The offsets' contraction is one matrix
     product, (R J, P) by the node-major (P, B) phases; the centres' is one
-    broadcast multiply by the (J, B) phases and a sum over the centre axis.
-    The blocks' complex sums are yielded in block order by
-    `_map_blocks(..., y.size, width)`; the caller reduces them, the
-    sandwich to the sum of t.imag @ t.imag.T and the density to the
-    concatenation of 2 Re t[0].
+    broadcast complex multiply by the (J, B) phases, in the product's own
+    buffer, and a sum of its imaginary part over the centre axis.  (Taking
+    Re h Im e + Im h Re e instead reads both parts through strided views,
+    which numpy does not vectorize: that form took about 440 us a block
+    against 240 for the complex multiply and half sum, at 2,048 points and
+    16 centres, and a threaded n = 50,000 fit 11-45% longer.)  The blocks'
+    sums are yielded in block order by `_map_blocks(..., y.size, width)`;
+    the caller reduces them, the sandwich to the sum of t @ t.T and the
+    density, which passes i coef since Re(coef e) = Im(i coef e), to their
+    concatenation.
     """
     g = np.pad(coef, ((0, 0), (0, c.size * d.size - coef.shape[1]))).reshape(-1, d.size)
 
@@ -274,7 +288,7 @@ def _panel_sums(coef: np.ndarray, c: np.ndarray, d: np.ndarray, y: np.ndarray, w
         cen, off = _phases(y[blk], c, d)
         t = (g @ off.T).reshape(len(coef), c.size, -1)
         t *= cen.T
-        return t.sum(axis=1)
+        return t.imag.sum(axis=1)
     return _map_blocks(block, y.size, width)
 
 
@@ -303,42 +317,60 @@ def m_dot(theta: EuclideanParam, u: np.ndarray) -> np.ndarray:
     return np.stack([ea - eb, 1j * u * theta.p * ea, 1j * u * (1.0 - theta.p) * eb])
 
 
-def _ratios(u, s, p, ea, eb):
-    """1/M, R = S/M, a = e^{iu alpha}/M, b = e^{iu beta}/M and the Jacobian's node sums, batched.
+def _ratios(s, p, ea, eb):
+    """1/M and the node sums z = (R, R G) of a batch of parameters: the one primitive.
 
-    u has shape (Q,); s, of shape (..., Q), holds the node sums
-    S = sum_k e^{iuX_k}; p, a scalar or (..., 1), and the phases ea = e^{iu alpha}
-    and eb = e^{iu beta}, (Q,) or (..., Q), hold a batch of parameters,
-    which broadcasts against s: a batch of one serves every row of s.
-    Mdot/M = (a - b, iu p a, iu (1-p) b), so the residual's node sums are
-    s_inv = sum_k Im(e^{iuX_k}/M) = Im R and the Jacobian's,
-    s_c = sum_k Im(e^{iuX_k} Mdot/M^2), has the rows
-    Im(R (a - b)) = Im(R a) - Im(R b), u p Re(R a) and u (1-p) Re(R b):
-    one real array of shape (..., 3, Q), and no complex array of that
-    shape is formed.  Returns inv, R, a, b and s_c.
+    s, of shape (Q,) or (B, Q), holds the node sums S = sum_k e^{iuX_k};
+    p, a scalar or (B, 1), and the phases ea = e^{iu alpha} and
+    eb = e^{iu beta}, (Q,) or (B, Q), hold the parameters, which broadcast
+    against s: a batch of one serves every row of s.  With
+    M = p ea + (1-p) eb and G = (ea - eb)/M, the ratios a = ea/M and
+    b = eb/M are a = 1 + (1-p) G and b = 1 - p G, since p a + (1-p) b = 1,
+    so the residual's node sums Im R and every row of the Jacobian's,
+    Im(R Mdot/M) with Mdot/M = (G, iu p a, iu (1-p) b), are combinations
+    of R = S/M and R G: Im(R G), u p (Re R + (1-p) Re R G) and
+    u (1-p) (Re R - p Re R G).  R and R G are returned as z[0] and z[1] of
+    one (2, ..., Q) complex buffer, each written whole.  Returns 1/M and z.
     """
-    inv = 1.0 / (p * ea + (1.0 - p) * eb)
-    big_r = s * inv
-    a, b = ea * inv, eb * inv
-    ra, rb = big_r * a, big_r * b
-    s_c = np.empty(big_r.shape[:-1] + (3, u.size))
-    np.subtract(ra.imag, rb.imag, out=s_c[..., 0, :])
-    np.multiply(u * p, ra.real, out=s_c[..., 1, :])
-    np.multiply(u * (1.0 - p), rb.real, out=s_c[..., 2, :])
-    return inv, big_r, a, b, s_c
+    inv = p * ea
+    inv += (1.0 - p) * eb
+    np.divide(1.0, inv, out=inv)
+    g = np.subtract(ea, eb)
+    g *= inv
+    z = np.empty((2,) + np.broadcast(s, inv).shape, dtype=complex)
+    np.multiply(s, inv, out=z[0])
+    np.multiply(z[0], g, out=z[1])
+    return inv, z
 
 
-def _gradient(w, s_inv, s_c, n):
-    """Residual r = s_inv/n, w r and the gradient 2 J W r = -2 s_c (w r)/n of V = r^T W r.
+def _value_gradient(wn, uwn, p, z):
+    """V = r^T W r and its gradient 2 J W r from `_ratios`' z, as four node dots per row.
 
-    s_inv and s_c are `_ratios`' node sums over n observations, w the
-    weights; every row's sum over the nodes is its own np.matmul, so its
-    bits do not depend on the batch.  Returns r, w r and the gradient,
-    shape (..., 3).
+    With r = Im R/n and J's rows as `_ratios` gives them, V and the gradient
+    read four dots over the nodes, D1 = <w Im R, Im R>, D2 = <w Im R, Im R G>,
+    D3 = <u w Im R, Re R> and D4 = <u w Im R, Re R G>, over n^2: V is D1
+    and the gradient -2 (D2, x, D3 - x) with x = p (D3 + (1-p) D4), the
+    third entry (1-p) (D3 - p D4) in exact arithmetic.  All
+    four are one real np.matmul of z's interleaved float view, a (2, 2Q)
+    block per row, by a (2Q, 2) block that holds w Im R/n^2 at the
+    imaginary parts and u w Im R/n^2 at the real parts, zeros elsewhere, so
+    no (B, 3, Q) Jacobian is formed; every row is its own product, so its
+    bits do not depend on the batch.  wn = w/n^2 and uwn = u wn are the
+    dots' weights, (Q,) or (B, Q), p a scalar or (B, 1), and z of shape
+    (2, Q) or (2, B, Q).  Returns the values, a float or a list of floats,
+    and the gradients, shape (3,) or (B, 3).
     """
-    r = s_inv / n
-    wr = w * r
-    return r, wr, (-2.0 / n) * np.matmul(s_c, wr[..., :, None])[..., 0]
+    im_r, q = z[0].imag, z.shape[-1]
+    k = np.zeros(im_r.shape[:-1] + (2, q, 2))
+    np.multiply(im_r, wn, out=k[..., 0, :, 1])
+    np.multiply(im_r, uwn, out=k[..., 1, :, 0])
+    k = k.reshape(k.shape[:-2] + (2 * q,)).swapaxes(-1, -2)
+    dots = np.matmul(z.view(float).swapaxes(0, -2), k)
+    d2, d3, d4 = dots[..., 1, :1], dots[..., 0, 1:], dots[..., 1, 1:]
+    x = (1.0 - p) * d4
+    x += d3
+    x *= p
+    return dots[..., 0, 0].tolist(), np.concatenate([d2, x, d3 - x], axis=-1) * -2.0
 
 
 def _mdot_ratio(u, p, a, b):
@@ -354,29 +386,34 @@ def _mdot_ratio(u, p, a, b):
 def _plugin_gradient_hessian(u, w, s, n, p, ea, eb):
     """Gradient and exact Hessian of the plug-in statistic V = r^T W r, batched.
 
-    u has shape (Q,); w and s, of shape (..., Q), are the weights and the
-    node sums sum_k e^{iuX_k} over n observations; p, ea = e^{iu alpha} and
-    eb = e^{iu beta} are parameters as `_ratios` takes them, so phases of
-    batch one serve every row.  Returns shapes (..., 3) and (..., 3, 3).
+    u has shape (Q,); w and s, of shape (Q,) or (B, Q), are the weights and
+    the node sums sum_k e^{iuX_k} over n observations; p, ea = e^{iu alpha}
+    and eb = e^{iu beta} are parameters as `_ratios` takes them, so phases
+    of batch one serve every row.  Returns shapes (..., 3) and (..., 3, 3).
 
-    With r = sum_k Im(e^{iuX_k}/M)/n and J = -sum_k Im(e^{iuX_k} Mdot/M^2)/n
-    from `_ratios`, the gradient is 2 J W r, by `_gradient` as the search
-    path computes it, and the Hessian 2 J W J^T + 2 sum_q w_q r_q H_q, where
+    From `_ratios`' R = S/M and R G, the gradient is 2 J W r, by
+    `_value_gradient` as the search path computes it, and the Hessian
+    2 J W J^T + 2 sum_q w_q r_q H_q, where
     H = sum_k Im(e^{iuX_k} (2 Mdot Mdot^T/M^3 - Mddot/M^2))/n.  With
-    R = S/M, that is two contractions over the nodes, 2 (J o w) J^T and
-    Im((m o k) m^T) with m = Mdot/M and k = 4 w r R/n, less the four
-    nonzero entries of Mddot: d2M/dp dalpha = iu e^{iu alpha},
+    m = Mdot/M, J = -Im(R m)/n, and the Hessian is two contractions over
+    the nodes, 2 (J o w) J^T and Im((m o k) m^T) with k = 4 w r R/n, less
+    the four nonzero entries of Mddot: d2M/dp dalpha = iu e^{iu alpha},
     d2M/dp dbeta = -iu e^{iu beta}, d2M/dalpha^2 = iu Mdot_alpha and
     d2M/dbeta^2 = iu Mdot_beta, each over M and contracted with
     t = 2 iu w r R/n.
     """
-    big_r, a, b, s_c = _ratios(u, s, p, ea, eb)[1:]
-    wr, grad = _gradient(w, big_r.imag, s_c, n)[1:]
+    wn = w / (n * n)
+    inv, z = _ratios(s, p, ea, eb)
+    grad = _value_gradient(wn, u * wn, p, z)[1]
+    t = z[0].copy()
+    a, b = ea * inv, eb * inv
+    del z, inv               # R lives on in t: 6 reals per row and node freed for 2 kept
     m = _mdot_ratio(u, p, a, b)
-    del b                    # read only through m: 2 reals per row and node freed
-    t = np.multiply(big_r, wr / n, out=big_r)
-    # J = -s_c / n, so 2 (J o w) J^T = 2 (s_c o w / n^2) s_c^T
-    hess = 2.0 * np.matmul(s_c * (w / (n * n))[..., None, :], s_c.swapaxes(-1, -2))
+    del b                    # read only through m
+    s_c = np.multiply(t[..., None, :], m).imag.copy()        # -n J = Im(R m)
+    t *= wn * t.imag
+    # 2 (J o w) J^T = 2 (s_c o w / n^2) s_c^T
+    hess = 2.0 * np.matmul(s_c * wn[..., None, :], s_c.swapaxes(-1, -2))
     hess += 4.0 * np.matmul(m * t[..., None, :], m.swapaxes(-1, -2)).imag
     t *= 2j * u
     # sum_q t m_q, and sum_q t a; sum_q t b is their difference
@@ -425,9 +462,11 @@ class ContrastEvaluator:
     with C and O a block's centre and offset phases on the nodes' panel
     lattice (see `_lattice` and `_phases`): O(Q) numbers, nothing of size n.
     Every value, gradient and sandwich piece starts from the module's one
-    helper `_ratios`, which returns 1/M, R = S/M and the node sums
-    sum_k Im(e^{iuX_k}/M) = Im R and sum_k Im(e^{iuX_k} Mdot/M^2) of shape
-    (Q,) and (3, Q); S2 gives the pair statistic's diagonal.
+    helper `_ratios`, which returns 1/M and R = S/M and R G, from which come
+    the node sums sum_k Im(e^{iuX_k}/M) = Im R and
+    sum_k Im(e^{iuX_k} Mdot/M^2) = Im(R Mdot/M), of shape (Q,) and (3, Q);
+    S2 gives the pair statistic's diagonal.  The search path keeps the
+    weights of its node dots, w/n^2 and u w/n^2, (Q,) each.
     `plugin` is the value of `plugin_value_gradient`.  In least-squares form
     the plug-in objective is V_n = r^T W r with residual
     r = sum_k Im(e^{iuX_k}/M)/n and Jacobian J = -sum_k Im(e^{iuX_k} Mdot/M^2)/n;
@@ -455,6 +494,9 @@ class ContrastEvaluator:
         self.w = self._smoothed_weights(smoothing)
         self.n = sample.n
         self._c, self._d = _lattice(self.u)
+        self._nodes = np.concatenate([self._c, self._d])
+        self._wn = self.w / (self.n * self.n)
+        self._uwn = self.u * self._wn
         q = self.u.size
 
         def block(blk):
@@ -463,17 +505,34 @@ class ContrastEvaluator:
         self._s, self._s2 = sum(_map_blocks(block, sample.n, 2 * q)).reshape(2, -1)[:, :q]
 
     def _features(self, x: np.ndarray) -> np.ndarray:
-        """e^{iuX_k} on the folded nodes for a block of observations x, shape (B, Q)."""
-        cen, off = _phases(x, self._c, self._d)
-        e = np.multiply(cen[:, :, None], off[:, None, :], order="C")
-        return e.reshape(len(x), self._c.size * self._d.size)[:, :self.u.size]
+        """e^{iuX_k} on the folded nodes for an array of observations x, shape x.shape + (Q,).
+
+        The product of the lattice's centre and offset phases, each numpy's
+        cos and sin of its own angle, laid out observation-major.  The search
+        path's parameters are a few locations, where these phases cost no
+        more than `_phases`' tangents and round less, so the descents take
+        fewer steps at the rounding floor; the Newton steps and the refits'
+        downdates take the same phases.
+        """
+        a = np.multiply.outer(x, self._nodes)
+        e = np.empty(a.shape, dtype=complex)
+        np.cos(a, out=e.real)
+        np.sin(a, out=e.imag)
+        j, q = self._c.size, self.u.size
+        e = np.multiply(e[..., :j, None], e[..., None, j:])
+        return e.reshape(e.shape[:-2] + (e.shape[-2] * e.shape[-1],))[..., :q]
 
     def _block(self, theta: EuclideanParam):
-        """1/M, Mdot/M^2 and the node sums s_inv and s_c at theta (`_ratios`), phases by np.exp."""
-        u = self.u
-        inv, big_r, a, b, s_c = _ratios(u, self._s, theta.p, np.exp(1j * u * theta.alpha),
-                                        np.exp(1j * u * theta.beta))
-        return inv, _mdot_ratio(u, theta.p, a, b) * inv, big_r.imag, s_c
+        """1/M, Mdot/M^2 and the node sums s_inv = Im R and s_c = Im(R Mdot/M) at theta (`_ratios`).
+
+        Phases by np.exp; the Jacobian's node sums s_c, of shape (3, Q), are
+        -n J, as `_plugin_gradient_hessian` forms them.
+        """
+        u, p = self.u, theta.p
+        ea, eb = np.exp(1j * u * theta.alpha), np.exp(1j * u * theta.beta)
+        inv, z = _ratios(self._s, p, ea, eb)
+        m = _mdot_ratio(u, p, ea * inv, eb * inv)
+        return inv, m * inv, z[0].imag, (z[0] * m).imag
 
     def _smoothed_weights(self, b) -> np.ndarray:
         """The folded rule weights times the smoothing factor exp(-(b u)^2) of bandwidth b.
@@ -488,7 +547,11 @@ class ContrastEvaluator:
 
     def u_statistic(self, theta: EuclideanParam) -> float:
         """Diagonal-removed pair statistic S_n(theta)."""
-        inv, _, s_inv, _ = self._block(theta)
+        return self._u_statistic(self._block(theta))
+
+    def _u_statistic(self, block) -> float:
+        """`u_statistic` from the `_block` at theta."""
+        inv, _, s_inv, _ = block
         n = self.n
         return float(np.dot(self.w, s_inv * s_inv - self._squares(inv, inv)) / (n * (n - 1)))
 
@@ -511,20 +574,17 @@ class ContrastEvaluator:
         """`plugin_value_gradient` of every row (p, alpha, beta) of thetas, shape (B, 3).
 
         The phases e^{iu alpha} and e^{iu beta} of every row come from the
-        evaluator's phase kernel (`_features`), and one `_ratios` call on
-        the batch gives the residual's and the Jacobian's node sums, all
-        real.  Each row's value r^T W r and gradient (`_gradient`) are its
-        own np.matmul over the nodes, so a row's value and gradient are its
-        batch of one's, bit for bit: the fit's lock-step descents
-        (`estimator._descend_all`) take the same steps as one descent per
-        start.  An empty batch gives [].
+        evaluator's lattice (`_features`), one `_ratios` call on the batch
+        gives R = S/M and R G, and `_value_gradient` reads each row's value
+        r^T W r and gradient from its own four node dots, so a row's value
+        and gradient are its batch of one's, bit for bit: the fit's
+        lock-step descents (`estimator._descend_all`) take the same steps as
+        one descent per start.  An empty batch gives [].
         """
-        q = self.u.size
-        ea, eb = self._features(thetas[:, 1:].T.ravel()).reshape(2, len(thetas), q)
-        _, big_r, _, _, s_c = _ratios(self.u, self._s, thetas[:, :1], ea, eb)
-        r, wr, grad = _gradient(self.w, big_r.imag, s_c, self.n)
-        values = np.matmul(r[:, None, :], wr[:, :, None])[:, 0, 0]
-        return list(zip(values.tolist(), grad))
+        ea, eb = self._features(thetas[:, 1:].T)
+        p = thetas[:, :1]
+        z = _ratios(self._s, p, ea, eb)[1]
+        return list(zip(*_value_gradient(self._wn, self._uwn, p, z)))
 
     def information_and_score(self, theta: EuclideanParam, x: np.ndarray):
         """Sandwich pieces (info, v_hat) of the plug-in contrast at theta, each (3, 3).
@@ -537,14 +597,17 @@ class ContrastEvaluator:
         the panel transform `_panel_sums`, so the (B, Q) phases are never
         formed.
         """
+        return self._information_and_score(self._block(theta), x)
+
+    def _information_and_score(self, block, x: np.ndarray):
+        """`information_and_score` from the `_block` at theta."""
         if np.shape(x) != (self.n,):
             raise ValueError(f"x must hold the evaluator's {self.n} observations")
-        inv, _, _, s_c = self._block(theta)
+        inv, _, _, s_c = block
         jac = -s_c / self.n
         jw = jac * self.w
         info = 2.0 * jw @ jac.T
-        score = sum(t.imag @ t.imag.T
-                    for t in _panel_sums(jw * inv, self._c, self._d, x, 2 * self.u.size))
+        score = sum(t @ t.T for t in _panel_sums(jw * inv, self._c, self._d, x, 2 * self.u.size))
         return info, 4.0 * score / self.n
 
 

@@ -76,6 +76,9 @@ __all__ = [
 _TAIL_EPS = 1e-12
 _MIN_U_NODES = 512
 _MAX_U_NODES = 16384
+# standardized distance at which the kernel estimate's Gaussian is taken as 0:
+# exp(-40^2 / 2) = exp(-800) underflows to 0, as exp does from |z| = 38.6 on
+_KDE_Z_MAX = 40.0
 
 
 @dataclass(frozen=True)
@@ -247,7 +250,7 @@ def deconvolved_density_values(sample: Sample, theta: EuclideanParam,
             return np.divide(1.0, shifted_m, out=shifted_m).sum(axis=2)
         ratio = sum(_map_blocks(block, sample.n, u.size)).ravel()[:u.size]
     coef = trap * damp * ratio / sample.n
-    return np.concatenate([2.0 * t[0].real for t in _panel_sums(coef[None], c, d, -xs, u.size)])
+    return np.concatenate([2.0 * t[0] for t in _panel_sums(1j * coef[None], c, d, -xs, u.size)])
 
 
 def estimate_density(sample: Sample, theta_hat: EuclideanParam, cfg: DensityConfig,
@@ -284,9 +287,13 @@ def estimate_g(sample: Sample, cfg: DensityConfig, xs=None) -> KernelCurve:
         xs = np.linspace(float(np.min(sample.values)) - 3.0 * b,
                          float(np.max(sample.values)) + 3.0 * b, 512)
     xs = np.asarray(xs, dtype=float)
+    # x - X_k clamped at +-_KDE_Z_MAX b, so |z| <= 40 and z * z stays finite at
+    # any bandwidth; exp(-z^2/2) is 0 either way past |z| = 38.6, and no pass
+    # relies on an errstate, which a threaded block would not inherit
+    lim = _KDE_Z_MAX * cfg.bandwidth
 
     def block(blk):
-        z = (xs[:, None] - sample.values[None, blk]) / cfg.bandwidth
+        z = np.clip(xs[:, None] - sample.values[None, blk], -lim, lim) / cfg.bandwidth
         return np.exp(-0.5 * z * z).sum(axis=1)
     vals = sum(_map_blocks(block, sample.n, xs.size))
     vals /= sample.n * cfg.bandwidth * math.sqrt(2.0 * math.pi)

@@ -87,7 +87,8 @@ __all__ = [
 # smoothing of the fit objective: b_n = SMOOTH_C * n^{-1/4}
 SMOOTH_C = 1.0
 
-# the start design of `initial_points`: location quantile pairs crossed with p values
+# the start design of `initial_points`: location quantile pairs crossed with p values;
+# the first pair is the quartiles, which `_order_statistics` reads the scale from
 _START_QUANTILES = ((0.25, 0.75), (0.1, 0.9), (0.2, 0.8))
 _START_PS = (0.25, 0.1, 0.4)
 
@@ -155,10 +156,20 @@ def robust_scale(values) -> float:
     Raises ValueError for fewer than two values, a value that is not finite,
     or values of zero dispersion.
     """
+    x = _scalable(values)
+    return _quartile_scale(x, *np.quantile(x, [0.25, 0.75]))
+
+
+def _scalable(values) -> np.ndarray:
+    """values as a float array, or ValueError for fewer than two values or one not finite."""
     x = np.asarray(values, dtype=float)
     if x.size < 2 or not np.isfinite(x).all():
         raise ValueError("robust scale needs at least 2 values, all finite")
-    q1, q3 = np.quantile(x, [0.25, 0.75])
+    return x
+
+
+def _quartile_scale(x: np.ndarray, q1: float, q3: float) -> float:
+    """`robust_scale` of x from its quartiles q1 and q3, with its fallback and its error."""
     s = (q3 - q1) / 1.349
     if s <= 0.0:
         s = float(np.std(np.sort(x), ddof=1))
@@ -212,16 +223,22 @@ def initial_points(sample: Sample, cfg: FitConfig) -> list[EuclideanParam]:
 
 
 def _start_points(pairs: np.ndarray, cfg: FitConfig) -> list[EuclideanParam]:
-    """`initial_points` from the sample's location quantile pairs at `_START_QUANTILES`."""
+    """`initial_points` from the sample's location quantile pairs at `_START_QUANTILES`.
+
+    A pair closer than the box's separation is moved apart, and a start is
+    dropped when its p and its locations, each rounded to 12 decimals as
+    numpy rounds, repeat an earlier start's.
+    """
     box = cfg.box
+    pairs = np.array(pairs, dtype=float)
+    close = np.abs(pairs[:, 0] - pairs[:, 1]) < box.sep_min
+    pairs[close, 1] = pairs[close, 0] + box.sep_min
     pts: list[EuclideanParam] = []
     seen = set()
-    for a, b in pairs:
-        if abs(a - b) < box.sep_min:
-            b = a + box.sep_min
+    for (a, b), locations in zip(pairs.tolist(), np.round(pairs, 12).tolist()):
         for p in _START_PS:
             p = min(max(p, box.p_low), box.p_high)
-            key = (round(p, 12), round(a, 12), round(b, 12))
+            key = (round(p, 12), *locations)
             if key not in seen:
                 seen.add(key)
                 pts.append(EuclideanParam(p, a, b))
@@ -290,13 +307,16 @@ def _order_statistics(x: np.ndarray):
     Each is numpy's own median or quantile, or `robust_scale`, of the sorted
     copy, and so equals its value on x bit for bit: they depend on the
     values alone.  Rounding is monotone, so x_j - m is nondecreasing in x_j
-    and the sorted copy less m is the centred sample, sorted.  The copy is
+    and the sorted copy less m is the centred sample, sorted.  The scale's
+    quartiles are the first start pair, (0.25, 0.75), so one np.quantile
+    call gives both: numpy computes each level on its own.  The copy is
     freed on return, before `_frame` builds its evaluator.
     """
-    xs = np.sort(x)
+    xs = np.sort(_scalable(x))
     m = float(np.median(xs))
     xs -= m
-    return m, robust_scale(xs), np.quantile(xs, _START_QUANTILES)
+    quantiles = np.quantile(xs, _START_QUANTILES)
+    return m, _quartile_scale(xs, *quantiles[0]), quantiles
 
 
 # L-BFGS-B's settings, `minimize(..., method="L-BFGS-B")`'s with ftol=1e-16 and gtol=1e-12:
@@ -467,7 +487,8 @@ def _fit(frame: _Frame, cfg: FitConfig) -> FitResult:
     valid.sort(key=lambda e: e[:2])
     ref = np.array(valid[0][1])
     tol_agree = 1e-3 * max(1.0, float(np.max(np.abs(ref))))
-    agree = sum(bool(np.max(np.abs(np.array(theta) - ref)) <= tol_agree) for _, theta, _ in valid)
+    agree = int(np.count_nonzero(
+        np.max(np.abs(np.array([theta for _, theta, _ in valid]) - ref), axis=1) <= tol_agree))
 
     # the winner polished to the gradient root, unless Newton refuses it, merges
     # the locations or leaves the winner's basin
@@ -478,7 +499,9 @@ def _fit(frame: _Frame, cfg: FitConfig) -> FitResult:
     # the reported estimate back in the fit's frame, as `symmix scan` maps it
     at = _shift(theta_hat, -m)
 
-    cov, sigma_form = _covariance_with_fallback(ev, at, frame.centred.values)
+    # one block at the estimate serves the covariance and the pair statistic
+    block = ev._block(at)
+    cov, sigma_form = _covariance_with_fallback(ev, block, frame.centred.values)
     std_errors = np.sqrt(np.maximum(np.diag(cov), 0.0) / ev.n)
 
     manifest = {
@@ -498,7 +521,7 @@ def _fit(frame: _Frame, cfg: FitConfig) -> FitResult:
     }
     return FitResult(
         theta_hat=theta_hat,
-        contrast_at_opt=ev.u_statistic(at),
+        contrast_at_opt=ev._u_statistic(block),
         objective_at_opt=ev.plugin(at),
         covariance=cov,
         std_errors=std_errors,
@@ -519,21 +542,22 @@ def asymptotic_covariance(sample: Sample, theta_hat: EuclideanParam,
     observations, as `fit` does.
     """
     frame = _frame(sample, ccfg)
-    return _covariance_with_fallback(frame.ev, _shift(theta_hat, -frame.m),
+    return _covariance_with_fallback(frame.ev, frame.ev._block(_shift(theta_hat, -frame.m)),
                                      frame.centred.values, fallback=False)[0]
 
 
-def _covariance_with_fallback(ev: ContrastEvaluator, theta: EuclideanParam, x: np.ndarray,
+def _covariance_with_fallback(ev: ContrastEvaluator, block, x: np.ndarray,
                               fallback: bool = True):
     """Symmetrized I^{-1} V I^{-1} and the form used: the fit's sandwich covariance.
 
-    x is the sample `ev` was built from, read once for the scores.
+    block is `ev._block` at the estimate, and x the sample `ev` was built
+    from, read once for the scores.
 
     An information matrix with condition number above 1e12 is inverted by
     pinv when `fallback` ("sandwich-pinv"); otherwise it raises
     SingularInformation.
     """
-    info, v_hat = ev.information_and_score(theta, x)
+    info, v_hat = ev._information_and_score(block, x)
     cond = np.linalg.cond(info)
     if cond > 1e12:
         if not fallback:
@@ -607,7 +631,7 @@ def _newton(ev: ContrastEvaluator, s: np.ndarray, w: np.ndarray, n: int,
         if live.size == 0:
             break
         rows = thetas[:1] if it == 0 else thetas[live]
-        ea, eb = ev._features(rows[:, 1:].T.ravel()).reshape(2, len(rows), -1)
+        ea, eb = ev._features(rows[:, 1:].T)
         grad, hess = _plugin_gradient_hessian(ev.u, w[live], s[live], n, rows[:, :1], ea, eb)
         posdef = np.isfinite(hess).all(axis=(1, 2)) & np.isfinite(grad).all(axis=1)
         posdef[posdef] = np.linalg.eigvalsh(hess[posdef])[:, 0] > 0.0

@@ -323,10 +323,33 @@ SIM = ["simulate", "--family", "gauss", "--theta0", "0.25,-1,2", "--n", "60", "-
 EMPTY_WINDOW = "truncation window |u| <= 1/trunc_h holds no weight-rule node"
 
 
+def test_csv_rows_equal_the_per_value_numpy_reprs():
+    # density and scan lines come from Python floats; they must repeat the
+    # repr(float(v)) of each numpy value byte for byte, signed zeros,
+    # subnormals and the ends of the range included
+    from symmix.cli import _csv_rows
+
+    tiny = np.finfo(float).smallest_subnormal
+    special = np.array([-0.0, 0.0, tiny, -tiny, 3.0 * tiny, 2.2250738585072014e-308,
+                        -1e-300, 1e-300, 1e300, -1e300, np.finfo(float).max, 0.1, 1.0 / 3.0,
+                        1e16, -123456789.0, 5e-324 * 2 ** 40])
+    bits = np.random.default_rng(5).integers(0, 2 ** 63, (5, 512), dtype=np.uint64)
+    # random bit patterns of both signs, exponents 0-2046: every class of finite double
+    bits[:, ::2] |= np.uint64(2 ** 63)
+    random = bits.view(float)
+    random[~np.isfinite(random)] = -0.0
+    cols = [np.concatenate([special, col[special.size:]]) for col in random]
+    want = [",".join(repr(float(v)) for v in row) for row in zip(*cols)]
+    assert _csv_rows(*cols) == want
+
+
 @pytest.mark.parametrize("argv, message", [
     (["fit", "RAIN", "--starts", "0"], "starts must be >= 1"),
     (SIM + ["--starts", "0"], "starts must be >= 1"),
     (["fit", "RAIN", "--weight-nodes", "15"], "node_count must be an even integer >= 16"),
+    # a rule this large would not fit in memory (see weights._MAX_NODE_COUNT)
+    (["fit", "RAIN", "--weight-nodes", "100000000"],
+     "node_count must be at most 65536, got 100000000"),
     (["fit", "RAIN", "--cutoff", "-1"], "cutoff must be positive"),
     (["fit", "RAIN", "--trunc-h", "0"], "trunc_h must be positive"),
     (["density", "RAIN", "--bandwidth", "-1"], "bandwidth must be positive"),
@@ -357,7 +380,7 @@ EMPTY_WINDOW = "truncation window |u| <= 1/trunc_h holds no weight-rule node"
     (["fit", "RAIN", "--cutoff", "0"], "cutoff must be positive"),
     # a lambda that no draw of the family reads
     (SIM + ["--mix-lambda", "0.3"], "mix_lambda applies only to asym_gauss_mix"),
-], ids=["fit-starts", "simulate-starts", "weight-nodes", "cutoff", "trunc-h", "bandwidth",
+], ids=["fit-starts", "simulate-starts", "weight-nodes", "weight-nodes-above-bound", "cutoff", "trunc-h", "bandwidth",
         "grid", "constant", "constant-cutoff", "jobs", "cutoff-inf", "trunc-h-inf",
         "bandwidth-inf", "grid-hi-inf", "grid-lo-inf", "grid-span-inf", "grid-phase-inf",
         "range-nan", "range-hi-inf", "range-span-inf",

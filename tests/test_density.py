@@ -41,6 +41,20 @@ def test_estimate_g_integrates_to_one():
     assert np.trapezoid(curve.values, curve.xs) == pytest.approx(1.0, abs=1e-3)
 
 
+@pytest.mark.parametrize("bandwidth", [1e-300, 1e-3, 0.05, 0.69144, 30.0])
+def test_estimate_g_clamp_keeps_every_value(bandwidth):
+    # |x - X_k|/b past 1.3e154 overflowed z * z; the clamp at |z| = 40 keeps
+    # the square finite and moves no value, since exp(-z^2/2) is 0 from 38.6 on
+    sample = Sample(read_numeric_csv(rainfall_path()))
+    xs = np.linspace(-10.0, 90.0, 512)
+    values = estimate_g(sample, DensityConfig(bandwidth=bandwidth), xs=xs).values
+    assert np.all(np.isfinite(values))
+    if bandwidth > 1e-150:
+        z = (xs[:, None] - sample.values) / bandwidth
+        want = np.exp(-0.5 * z * z).sum(axis=1) / (sample.n * bandwidth * math.sqrt(2 * math.pi))
+        assert np.array_equal(values, want)
+
+
 def test_density_estimate_at_truth_is_accurate():
     sample = gauss_sample(1000, rep=1)
     val = deconvolved_density_values(sample, THETA0, default_bandwidth(1000), [0.0])

@@ -126,8 +126,9 @@ def counting(monkeypatch, owner, attr, calls):
 def test_fit_computes_robust_scale_once(monkeypatch):
     sample = symmix.sample_mixture(symmix.ScenarioSpec(
         "gauss", symmix.EuclideanParam(0.25, -1.0, 2.0), 100, 1, 7), 0)
+    # every robust scale, `robust_scale`'s and the frame's, is one `_quartile_scale`
     scales = []
-    counting(monkeypatch, estimator, "robust_scale", scales)
+    counting(monkeypatch, estimator, "_quartile_scale", scales)
     symmix.fit(sample)
     assert len(scales) == 1
 
@@ -137,7 +138,7 @@ def test_scan_builds_one_evaluator_and_two_scales(tmp_path, monkeypatch):
     # which rejects constant data, is one scale, the frame the other
     built, scales = [], []
     counting(monkeypatch, symmix.ContrastEvaluator, "__init__", built)
-    counting(monkeypatch, estimator, "robust_scale", scales)
+    counting(monkeypatch, estimator, "_quartile_scale", scales)
     out = tmp_path / "scan.csv"
     assert symmix.cli.main(["scan", symmix.cli.rainfall_path(), "--param", "beta",
                             "--range", "35:42:3", "--out", str(out)]) == 0

@@ -107,6 +107,29 @@ def test_bad_specs():
         build_weight_rule(node_count=8)
     with pytest.raises(ValueError):
         build_weight_rule(cutoff=-1.0)
+    # the node bound is checked before any array is built
+    assert build_weight_rule(node_count=65536).node_count == 65536
+    with pytest.raises(ValueError, match="node_count must be at most 65536, got 65538"):
+        build_weight_rule(node_count=65538)
+
+
+@pytest.mark.parametrize("node_count", [16, 64, 100, 250, 256, 4096])
+@pytest.mark.parametrize("cutoff", [30.0, 3.64])
+def test_rule_equals_the_per_panel_map(node_count, cutoff):
+    # equal panels are mapped in one broadcast: the same arithmetic as one
+    # panel at a time, so the same bits
+    from symmix.weights import _half_axis_panels, _legendre, laplace_density
+
+    counts, edges = _half_axis_panels(node_count // 2, cutoff)
+    u_parts, w_parts = [], []
+    for cnt, a, b in zip(counts, edges[:-1], edges[1:]):
+        x, gw = _legendre(cnt)
+        u_parts.append(0.5 * (b - a) * x + 0.5 * (b + a))
+        w_parts.append(0.5 * (b - a) * gw * laplace_density(u_parts[-1]))
+    u_pos, w_pos = np.concatenate(u_parts), np.concatenate(w_parts)
+    rule = build_weight_rule(node_count, cutoff)
+    assert rule.nodes.tobytes() == np.concatenate([-u_pos[::-1], u_pos]).tobytes()
+    assert rule.weights.tobytes() == np.concatenate([w_pos[::-1], w_pos]).tobytes()
 
 
 def test_rule_builder_takes_node_count_and_cutoff_only():

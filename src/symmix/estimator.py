@@ -309,13 +309,15 @@ def _order_statistics(x: np.ndarray):
     values alone.  Rounding is monotone, so x_j - m is nondecreasing in x_j
     and the sorted copy less m is the centred sample, sorted.  The scale's
     quartiles are the first start pair, (0.25, 0.75), so one np.quantile
-    call gives both: numpy computes each level on its own.  The copy is
-    freed on return, before `_frame` builds its evaluator.
+    call gives both: numpy computes each level on its own.  As in
+    `robust_scale`, the centred copy must be finite: a sample whose
+    centring overflows raises its ValueError.  The copy is freed on
+    return, before `_frame` builds its evaluator.
     """
-    xs = np.sort(_scalable(x))
+    xs = np.sort(x)
     m = float(np.median(xs))
     xs -= m
-    quantiles = np.quantile(xs, _START_QUANTILES)
+    quantiles = np.quantile(_scalable(xs), _START_QUANTILES)
     return m, _quartile_scale(xs, *quantiles[0]), quantiles
 
 
@@ -499,9 +501,8 @@ def _fit(frame: _Frame, cfg: FitConfig) -> FitResult:
     # the reported estimate back in the fit's frame, as `symmix scan` maps it
     at = _shift(theta_hat, -m)
 
-    # one block at the estimate serves the covariance and the pair statistic
-    block = ev._block(at)
-    cov, sigma_form = _covariance_with_fallback(ev, block, frame.centred.values)
+    # the covariance's block at the estimate serves the pair statistic too
+    cov, sigma_form, block = _covariance_with_fallback(ev, at, frame.centred.values)
     std_errors = np.sqrt(np.maximum(np.diag(cov), 0.0) / ev.n)
 
     manifest = {
@@ -542,21 +543,22 @@ def asymptotic_covariance(sample: Sample, theta_hat: EuclideanParam,
     observations, as `fit` does.
     """
     frame = _frame(sample, ccfg)
-    return _covariance_with_fallback(frame.ev, frame.ev._block(_shift(theta_hat, -frame.m)),
+    return _covariance_with_fallback(frame.ev, _shift(theta_hat, -frame.m),
                                      frame.centred.values, fallback=False)[0]
 
 
-def _covariance_with_fallback(ev: ContrastEvaluator, block, x: np.ndarray,
+def _covariance_with_fallback(ev: ContrastEvaluator, theta: EuclideanParam, x: np.ndarray,
                               fallback: bool = True):
-    """Symmetrized I^{-1} V I^{-1} and the form used: the fit's sandwich covariance.
+    """The fit's sandwich covariance I^{-1} V I^{-1}, symmetrized, its form and the block.
 
-    block is `ev._block` at the estimate, and x the sample `ev` was built
-    from, read once for the scores.
+    x is the sample `ev` was built from, read once for the scores.  The
+    block, `ev._block(theta)`, is returned for the fit's pair statistic.
 
     An information matrix with condition number above 1e12 is inverted by
     pinv when `fallback` ("sandwich-pinv"); otherwise it raises
     SingularInformation.
     """
+    block = ev._block(theta)
     info, v_hat = ev._information_and_score(block, x)
     cond = np.linalg.cond(info)
     if cond > 1e12:
@@ -569,7 +571,7 @@ def _covariance_with_fallback(ev: ContrastEvaluator, block, x: np.ndarray,
         inv_i = np.linalg.inv(info)
         form = "sandwich"
     cov = inv_i @ v_hat @ inv_i
-    return 0.5 * (cov + cov.T), form
+    return 0.5 * (cov + cov.T), form, block
 
 
 def _loo_scales(x: np.ndarray) -> np.ndarray:

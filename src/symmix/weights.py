@@ -119,9 +119,8 @@ def build_weight_rule(node_count: int = _NODE_COUNT, cutoff: float = 30.0) -> We
 
     Composite Gauss-Legendre with the density folded into the weights;
     node_count must be an even integer from 16 to 65,536 (_MAX_NODE_COUNT).
-    Any other weight measure is built as a WeightRule directly.  Equal
-    panels, the default's, are mapped onto [-1, 1]'s nodes in one
-    broadcast; unequal ones one count at a time, by the same arithmetic.
+    Any other weight measure is built as a WeightRule directly.  All
+    panels are mapped from [-1, 1]'s nodes in one vectorised pass.
     """
     if not isinstance(node_count, (int, np.integer)):
         raise TypeError(f"node_count must be an integer, got {node_count!r}")
@@ -137,17 +136,11 @@ def build_weight_rule(node_count: int = _NODE_COUNT, cutoff: float = 30.0) -> We
     counts, edges = _half_axis_panels(node_count // 2, cutoff)
     # each panel [a, b] maps x to h x + c, with h = (b - a)/2 and c = (b + a)/2
     half, mid = 0.5 * (edges[1:] - edges[:-1]), 0.5 * (edges[1:] + edges[:-1])
-    if counts[0] == counts[-1]:
-        x, gw = _legendre(counts[0])
-        u_pos = (half[:, None] * x + mid[:, None]).ravel()
-        w_pos = (half[:, None] * gw).ravel() * laplace_density(u_pos)
-    else:
-        u_parts, w_parts = [], []
-        for cnt, h, c in zip(counts, half, mid):
-            x, gw = _legendre(cnt)
-            u_parts.append(h * x + c)
-            w_parts.append(h * gw * laplace_density(u_parts[-1]))
-        u_pos, w_pos = np.concatenate(u_parts), np.concatenate(w_parts)
+    h = np.repeat(half, counts)
+    x = np.concatenate([_legendre(cnt)[0] for cnt in counts])
+    gw = np.concatenate([_legendre(cnt)[1] for cnt in counts])
+    u_pos = h * x + np.repeat(mid, counts)
+    w_pos = h * gw * laplace_density(u_pos)
     nodes = np.concatenate([-u_pos[::-1], u_pos])
     weights = np.concatenate([w_pos[::-1], w_pos])
     return WeightRule("laplace_default", float(cutoff), nodes, weights)

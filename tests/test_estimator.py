@@ -372,7 +372,7 @@ def test_covariance_memory_stays_below_one_score_matrix():
     ev = frame.ev
     tracemalloc.start()
     try:
-        cov, form = _covariance_with_fallback(ev, ev._block(THETA0), frame.centred.values)
+        cov, form, _ = _covariance_with_fallback(ev, THETA0, frame.centred.values)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -402,8 +402,9 @@ def test_ill_conditioned_information_falls_back_or_raises():
     from symmix.estimator import _covariance_with_fallback
 
     info = np.diag([1.0, 1.0, 1e-14])
-    ev = SimpleNamespace(_information_and_score=lambda block, x: (info, np.eye(3)))
-    cov, form = _covariance_with_fallback(ev, THETA0, None)
+    ev = SimpleNamespace(_block=lambda theta: None,
+                         _information_and_score=lambda block, x: (info, np.eye(3)))
+    cov, form, _ = _covariance_with_fallback(ev, THETA0, None)
     assert form == "sandwich-pinv"
     assert np.array_equal(cov, np.diag([1.0, 1.0, 0.0]))
     with pytest.raises(SingularInformation, match="1e\\+14 exceeds 1e12"):
@@ -623,6 +624,17 @@ def test_robust_scale_rejects_what_it_cannot_scale(values):
 
     with pytest.raises(ValueError, match="at least 2 values, all finite"):
         robust_scale(values)
+
+
+def test_order_statistics_reject_a_sample_whose_centring_overflows():
+    # the values are finite but x - median(x) is not: the scale's own error
+    from symmix.estimator import default_contrast_config
+
+    x = Sample(np.r_[-1.7e308, np.full(9, 1.7e308)])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="at least 2 values, all finite"):
+        default_contrast_config(x)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="at least 2 values, all finite"):
+        fit(x)
 
 
 def test_frame_order_statistics_from_one_sort_equal_unsorted_ones():

@@ -116,8 +116,8 @@ def test_bad_specs():
 @pytest.mark.parametrize("node_count", [16, 64, 100, 250, 256, 4096])
 @pytest.mark.parametrize("cutoff", [30.0, 3.64])
 def test_rule_equals_the_per_panel_map(node_count, cutoff):
-    # equal panels are mapped in one broadcast: the same arithmetic as one
-    # panel at a time, so the same bits
+    # all panels are mapped in one vectorised pass: the same arithmetic as
+    # one panel at a time, so the same bits
     from symmix.weights import _half_axis_panels, _legendre, laplace_density
 
     counts, edges = _half_axis_panels(node_count // 2, cutoff)
